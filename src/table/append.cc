@@ -116,25 +116,31 @@ Result<Value> CoerceCell(const Value& v, const std::string& column,
                                  v.ToString());
 }
 
+// True when `base_col` is a dictionary column and some cell of `cells`
+// is a string missing from its dictionary.
+bool HasNewString(const ColumnData& base_col,
+                  const std::vector<Value>& cells) {
+  if (base_col.encoding() != ColumnEncoding::kDict) return false;
+  for (const Value& v : cells) {
+    if (v.is_string() &&
+        base_col.FindCode(v.string_value()) == ColumnData::kNoCode) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 Result<TablePtr> MakeAppendBatch(const Table& base,
                                  std::vector<std::vector<Value>> rows) {
   const Schema& schema = base.schema();
-  // Seed each batch column from the base column's shape (encoding +
-  // shared dictionary) and append cells in place: a dictionary column
-  // reuses the base's interned dictionary (splicing only genuinely new
-  // strings), so the batch concats onto the base through the fast
-  // same-dictionary path and a single-row append never degrades a typed
-  // column to kGeneric.
-  std::vector<ColumnData> columns;
+  std::vector<std::vector<Value>> cells(schema.num_fields());
   std::vector<ValueType> targets;
-  columns.reserve(schema.num_fields());
   targets.reserve(schema.num_fields());
   for (size_t c = 0; c < schema.num_fields(); ++c) {
-    const ColumnData& base_col = base.typed_column(c);
-    columns.push_back(ColumnData::AllocateLike(base_col, 0));
-    targets.push_back(CoerceTarget(schema.field(c), base_col));
+    targets.push_back(CoerceTarget(schema.field(c), base.typed_column(c)));
+    cells[c].reserve(rows.size());
   }
   for (size_t r = 0; r < rows.size(); ++r) {
     if (rows[r].size() != schema.num_fields()) {
@@ -147,8 +153,28 @@ Result<TablePtr> MakeAppendBatch(const Table& base,
       SI_ASSIGN_OR_RETURN(
           Value cell,
           CoerceCell(rows[r][c], schema.field(c).name, targets[c]));
-      columns[c].AppendValue(cell);
+      cells[c].push_back(std::move(cell));
     }
+  }
+  // A dictionary column that brings a new string gets its own sorted
+  // dictionary of just the batch's distinct strings; ConcatTables merges
+  // it into the base's in one sorted-union pass, so the work here
+  // follows the batch, not the base dictionary. Every other column is
+  // grown in place from the base column's shape (encoding + shared
+  // dictionary): a batch of known strings concats through the
+  // same-dictionary fast path, and a single-row append never degrades a
+  // typed column to kGeneric.
+  std::vector<ColumnData> columns;
+  columns.reserve(schema.num_fields());
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    const ColumnData& base_col = base.typed_column(c);
+    if (HasNewString(base_col, cells[c])) {
+      columns.push_back(ColumnData::Encode(std::move(cells[c])));
+      continue;
+    }
+    ColumnData col = ColumnData::AllocateLike(base_col, 0);
+    for (const Value& cell : cells[c]) col.AppendValue(cell);
+    columns.push_back(std::move(col));
   }
   return Table::FromColumnData(schema, std::move(columns));
 }

@@ -24,11 +24,14 @@ Result<TablePtr> ConcatTables(const TablePtr& base, const TablePtr& delta);
 /// passing cells through for kGeneric ones — (JSON numbers arrive as
 /// doubles and are narrowed to int64 when exact; strings parse into
 /// numeric/bool columns; anything unrepresentable is an
-/// InvalidArgument naming the column). Batch
-/// columns are built in place with ColumnData::AppendValue seeded from
-/// the base columns' shapes, so a dictionary column shares the base's
-/// interned dictionary and single-row appends encode in place — an
-/// appended batch never silently degrades a typed column to kGeneric.
+/// InvalidArgument naming the column). A dictionary column whose
+/// cells are all already in the base dictionary shares the base's
+/// interned dictionary; one that brings new strings gets its own sorted
+/// dictionary of just the batch's distinct strings, which ConcatTables
+/// merges into the base's once — so the work here follows the batch,
+/// not the base. Other columns are grown in place from the base
+/// columns' shapes with ColumnData::AppendValue — an appended batch
+/// never silently degrades a typed column to kGeneric.
 Result<TablePtr> MakeAppendBatch(const Table& base,
                                  std::vector<std::vector<Value>> rows);
 

@@ -1,6 +1,7 @@
 #include "table/column.h"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_map>
 
 #include "table/dict_interner.h"
@@ -403,21 +404,7 @@ void ColumnData::AppendValue(const Value& v) {
         return;
       }
       uint32_t code = FindCode(v.string_value());
-      if (code == kNoCode) {
-        // Splice the new string into the sorted dictionary and shift the
-        // codes at or above its insertion point — the resulting column is
-        // identical to a cold re-encode including the new row.
-        Dictionary next = *dict_;
-        auto it = std::lower_bound(next.begin(), next.end(),
-                                   v.string_value());
-        uint32_t at = static_cast<uint32_t>(it - next.begin());
-        next.insert(it, v.string_value());
-        for (uint32_t& c : codes_) {
-          if (c >= at) ++c;
-        }
-        dict_ = DictionaryInterner::Process().Intern(std::move(next));
-        code = at;
-      }
+      assert(code != kNoCode && "AppendValue: string not in the dictionary");
       codes_.push_back(code);
       ++size_;
       return;

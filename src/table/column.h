@@ -97,14 +97,16 @@ class ColumnData {
   static ColumnData Concat(const ColumnData& base, const ColumnData& delta);
 
   /// Appends one cell in place, preserving the typed encoding: primitives
-  /// push onto their raw arrays, and a dictionary column either reuses an
-  /// existing code or splices the new string into the sorted dictionary
-  /// (remapping existing codes, re-interning). A type-consistent append
-  /// therefore NEVER degrades the column to kGeneric; only a cell whose
-  /// type genuinely conflicts with the encoding converts the column to
-  /// generic storage — the same representation a cold Encode of the mixed
-  /// column would pick. Must only be called on a column not yet owned by
-  /// a Table (tables are immutable).
+  /// push onto their raw arrays, and a dictionary column reuses the
+  /// string's existing code. Precondition for a kDict column: a string
+  /// cell must already be in the dictionary (the dictionary is shared and
+  /// never grows here; a batch bringing new strings is encoded on its own
+  /// and merged through Concat). A type-consistent append therefore NEVER
+  /// degrades the column to kGeneric; only a cell whose type genuinely
+  /// conflicts with the encoding converts the column to generic storage —
+  /// the same representation a cold Encode of the mixed column would
+  /// pick. Must only be called on a column not yet owned by a Table
+  /// (tables are immutable).
   void AppendValue(const Value& v);
 
   ColumnEncoding encoding() const { return encoding_; }

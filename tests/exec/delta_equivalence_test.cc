@@ -170,16 +170,23 @@ const std::vector<std::string> kObjects = {"events", "filtered", "named",
                                            "sums",   "joined",   "big"};
 
 // One random append batch: known and fresh dictionary strings, nulls in
-// every column, doubles with fractional parts.
+// every column, doubles with fractional parts. Odd batches also give
+// about a quarter of their rows a string of their own in both string
+// columns, so the batch's dictionaries hold many strings the base lacks
+// and merge into it (and into the downstream accumulators and joins)
+// through Concat.
 std::vector<std::vector<Value>> RandomRows(Rand& rng, int n, int batch) {
   std::vector<std::vector<Value>> rows;
   for (int i = 0; i < n; ++i) {
     uint64_t r = rng.next();
-    Value cat = r % 11 == 0
-                    ? Value("fresh" + std::to_string(batch) + "_" +
-                            std::to_string(r % 3))
-                    : Value("cat" + std::to_string(r % 6));
+    bool unique = batch % 2 == 1 && r % 4 == 0;
+    std::string tag = std::to_string(batch) + "_" + std::to_string(i);
+    Value cat = unique      ? Value("u" + tag)
+                : r % 11 == 0 ? Value("fresh" + std::to_string(batch) + "_" +
+                                      std::to_string(r % 3))
+                              : Value("cat" + std::to_string(r % 6));
     Value word = r % 13 == 0 ? Value::Null()
+                 : unique    ? Value("uw" + tag)
                              : Value("w" + std::to_string(r % 29));
     Value id = r % 17 == 0 ? Value::Null()
                            : Value(static_cast<int64_t>(r % 97));
@@ -296,9 +303,9 @@ TEST(AppendBatchTest, UntypedSchemaKeepsBaseEncodings) {
   ASSERT_EQ(base->typed_column(0).encoding(), ColumnEncoding::kDict);
   ASSERT_EQ(base->typed_column(1).encoding(), ColumnEncoding::kInt64);
 
-  // A known string, a fresh string (dict splice), and a numeric cell
-  // that a dict column serializes — plus an int arriving as a JSON-style
-  // double.
+  // A known string, a fresh string (batch-local dictionary), and a
+  // numeric cell that a dict column serializes — plus an int arriving as
+  // a JSON-style double.
   auto batch = MakeAppendBatch(
       *base, {{Value("key1"), Value(5.0)},
               {Value("brand_new"), Value(static_cast<int64_t>(6))},
@@ -311,14 +318,17 @@ TEST(AppendBatchTest, UntypedSchemaKeepsBaseEncodings) {
 
   // Concat stays dictionary-encoded and matches a cold re-encode of the
   // combined rows exactly.
+  auto cold_reencode = [](const TablePtr& table) {
+    std::vector<std::vector<Value>> columns;
+    for (size_t c = 0; c < table->num_columns(); ++c) {
+      columns.push_back(table->column(c));
+    }
+    return *Table::Create(table->schema(), std::move(columns));
+  };
   TablePtr grown = *ConcatTables(base, *batch);
   EXPECT_EQ(grown->typed_column(0).encoding(), ColumnEncoding::kDict);
   EXPECT_EQ(grown->typed_column(1).encoding(), ColumnEncoding::kInt64);
-  std::vector<std::vector<Value>> columns;
-  for (size_t c = 0; c < grown->num_columns(); ++c) {
-    columns.push_back(grown->column(c));
-  }
-  TablePtr cold = *Table::Create(grown->schema(), std::move(columns));
+  TablePtr cold = cold_reencode(grown);
   EXPECT_EQ(TableBits(*grown), TableBits(*cold));
   EXPECT_EQ(grown->typed_column(0).shared_dict().get(),
             cold->typed_column(0).shared_dict().get());
@@ -328,6 +338,48 @@ TEST(AppendBatchTest, UntypedSchemaKeepsBaseEncodings) {
   ASSERT_TRUE(same.ok());
   EXPECT_EQ((*same)->typed_column(0).shared_dict().get(),
             base->typed_column(0).shared_dict().get());
+
+  // New strings in two string columns — one repeated within the batch —
+  // beside nulls and a numeric cell: each batch column carries a sorted
+  // dictionary of exactly the batch's distinct strings (not base ∪ new),
+  // and the concat merges it into the same interned dictionary a cold
+  // re-encode builds.
+  TableBuilder pair_builder(Schema::FromNames({"a", "b"}));
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(pair_builder
+                    .AppendRow({Value("a" + std::to_string(i % 4)),
+                                Value("b" + std::to_string(i % 2))})
+                    .ok());
+  }
+  TablePtr pair_base = *pair_builder.Finish();
+  auto pair_batch = MakeAppendBatch(
+      *pair_base, {{Value("new_a1"), Value("b0")},
+                   {Value("a2"), Value("new_b1")},
+                   {Value("new_a1"), Value::Null()},
+                   {Value::Null(), Value("new_b2")},
+                   {Value("new_a0"), Value(static_cast<int64_t>(42))},
+                   {Value("a0"), Value("new_b1")}});
+  ASSERT_TRUE(pair_batch.ok()) << pair_batch.status();
+  const ColumnData& batch_a = (*pair_batch)->typed_column(0);
+  const ColumnData& batch_b = (*pair_batch)->typed_column(1);
+  ASSERT_EQ(batch_a.encoding(), ColumnEncoding::kDict);
+  ASSERT_EQ(batch_b.encoding(), ColumnEncoding::kDict);
+  EXPECT_EQ(batch_a.dict(),
+            (ColumnData::Dictionary{"a0", "a2", "new_a0", "new_a1"}));
+  EXPECT_EQ(batch_b.dict(),
+            (ColumnData::Dictionary{"42", "b0", "new_b1", "new_b2"}));
+  EXPECT_TRUE(batch_a.IsNull(3));
+  EXPECT_TRUE(batch_b.IsNull(2));
+
+  TablePtr pair_grown = *ConcatTables(pair_base, *pair_batch);
+  TablePtr pair_cold = cold_reencode(pair_grown);
+  EXPECT_EQ(TableBits(*pair_grown), TableBits(*pair_cold));
+  for (size_t c = 0; c < pair_grown->num_columns(); ++c) {
+    EXPECT_EQ(pair_grown->typed_column(c).encoding(), ColumnEncoding::kDict);
+    EXPECT_EQ(pair_grown->typed_column(c).shared_dict().get(),
+              pair_cold->typed_column(c).shared_dict().get())
+        << "column " << c;
+  }
 
   // Unrepresentable cells still fail loudly against a declared type.
   TableBuilder typed(Schema({Field{"n", ValueType::kInt64}}));
@@ -395,7 +447,7 @@ TEST_P(DeltaEquivalenceTest, EmptyBatchChangesNothing) {
 
 // Cube copy-extension: after each append the endpoint cube is extended
 // with DataCube::Append and must answer queries byte-identically to a
-// cold Build over the grown endpoint — including when appends splice new
+// cold Build over the grown endpoint — including when appends merge new
 // dictionary entries, and at a cardinality cap that drops indexes.
 TEST_P(DeltaEquivalenceTest, CubeAppendMatchesColdBuild) {
   ExecutionPlan plan = PlanUnderTest();
