@@ -37,7 +37,7 @@ MemoryReservation& MemoryReservation::operator=(
 
 void MemoryReservation::Release() {
   if (budget_ != nullptr && bytes_ > 0) {
-    budget_->ReleaseAll(bytes_);
+    budget_->ReleaseUpTo(bytes_, nullptr);
   }
   budget_ = nullptr;
   bytes_ = 0;
@@ -64,37 +64,44 @@ MemoryBudget& MemoryBudget::Process() {
   return *process;
 }
 
+Status MemoryBudget::Refusal(size_t bytes, const std::string& op,
+                             size_t capacity, size_t current) const {
+  return Status::ResourceExhausted(
+      "operator '" + op + "' needs " + std::to_string(bytes) +
+      " bytes but the '" + name_ + "' memory budget has " +
+      std::to_string(capacity > current ? capacity - current : 0) + " of " +
+      std::to_string(capacity) + " bytes free");
+}
+
 Status MemoryBudget::ReserveLocal(size_t bytes, const std::string& op,
                                   bool count_rejection) {
   size_t capacity = capacity_.load(std::memory_order_relaxed);
-  size_t current = reserved_.load(std::memory_order_relaxed);
+  // Acquire pairs with ReleaseLocal's release: bytes freed here were
+  // already freed at every ancestor (ReleaseUpTo goes top-down), so the
+  // ancestors' charge for them is gone before this charge reaches them.
+  size_t current = reserved_.load(std::memory_order_acquire);
   for (;;) {
     if (capacity > 0 && current + bytes > capacity) {
       if (count_rejection) RejectionsCounter()->Increment();
-      return Status::ResourceExhausted(
-          "operator '" + op + "' needs " + std::to_string(bytes) +
-          " bytes but the '" + name_ + "' memory budget has " +
-          std::to_string(capacity > current ? capacity - current : 0) +
-          " of " + std::to_string(capacity) + " bytes free");
+      return Refusal(bytes, op, capacity, current);
     }
     if (reserved_.compare_exchange_weak(current, current + bytes,
-                                        std::memory_order_relaxed)) {
+                                        std::memory_order_acquire)) {
       return Status::OK();
     }
   }
 }
 
 void MemoryBudget::ReleaseLocal(size_t bytes) {
-  reserved_.fetch_sub(bytes, std::memory_order_relaxed);
+  reserved_.fetch_sub(bytes, std::memory_order_release);
   if (parent_ == nullptr) {
     ReservedGauge()->Add(-static_cast<double>(bytes));
   }
 }
 
-void MemoryBudget::ReleaseAll(size_t bytes) {
-  for (MemoryBudget* b = this; b != nullptr; b = b->parent_) {
-    b->ReleaseLocal(bytes);
-  }
+void MemoryBudget::ReleaseUpTo(size_t bytes, const MemoryBudget* stop) {
+  if (parent_ != stop) parent_->ReleaseUpTo(bytes, stop);
+  ReleaseLocal(bytes);
 }
 
 Result<MemoryReservation> MemoryBudget::ReserveInternal(size_t bytes,
@@ -106,9 +113,7 @@ Result<MemoryReservation> MemoryBudget::ReserveInternal(size_t bytes,
   for (MemoryBudget* b = this; b != nullptr; b = b->parent_) {
     Status charged = b->ReserveLocal(bytes, op, count_rejection);
     if (!charged.ok()) {
-      for (MemoryBudget* undo = this; undo != b; undo = undo->parent_) {
-        undo->ReleaseLocal(bytes);
-      }
+      if (b != this) ReleaseUpTo(bytes, b);
       return charged;
     }
     if (b->parent_ == nullptr) {
@@ -121,6 +126,18 @@ Result<MemoryReservation> MemoryBudget::ReserveInternal(size_t bytes,
 Result<MemoryReservation> MemoryBudget::Reserve(size_t bytes,
                                                 const std::string& op) {
   return ReserveInternal(bytes, op, /*count_rejection=*/true);
+}
+
+Status MemoryBudget::CheckFits(size_t bytes, const std::string& op) const {
+  for (const MemoryBudget* b = this; b != nullptr; b = b->parent_) {
+    size_t capacity = b->capacity();
+    size_t current = b->reserved();
+    if (capacity > 0 && current + bytes > capacity) {
+      RejectionsCounter()->Increment();
+      return b->Refusal(bytes, op, capacity, current);
+    }
+  }
+  return Status::OK();
 }
 
 MemoryBudget::PressureResult MemoryBudget::TryReserveOrSpill(

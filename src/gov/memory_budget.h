@@ -72,6 +72,13 @@ class MemoryBudget {
   /// mem_budget_rejections_total.
   Result<MemoryReservation> Reserve(size_t bytes, const std::string& op);
 
+  /// Admission check: fails exactly as Reserve would (same message,
+  /// counted in mem_budget_rejections_total) when `bytes` do not fit at
+  /// this level or an ancestor, but charges nothing. For bytes that are
+  /// not held by the caller — e.g. a loaded source handed to the
+  /// DataStore — so the ledger never shows a charge nobody holds.
+  Status CheckFits(size_t bytes, const std::string& op) const;
+
   /// What TryReserveOrSpill found: either the granted reservation
   /// (pressure false) or, when the bytes would not fit, an empty
   /// reservation with pressure true — the caller's signal to degrade to
@@ -110,9 +117,17 @@ class MemoryBudget {
   Result<MemoryReservation> ReserveInternal(size_t bytes,
                                             const std::string& op,
                                             bool count_rejection);
+  /// The kResourceExhausted a refused `bytes` charge at this level
+  /// reports, given the level's capacity and current reservations.
+  Status Refusal(size_t bytes, const std::string& op, size_t capacity,
+                 size_t current) const;
   void ReleaseLocal(size_t bytes);
-  /// Releases at this level and every ancestor.
-  void ReleaseAll(size_t bytes);
+  /// Releases at this level and every ancestor below `stop` (nullptr =
+  /// all of them), top-down: charges go bottom-up, so each level always
+  /// holds at least what its descendants' reservations put on it, and a
+  /// concurrent Reserve that fits a child's cap cannot push an ancestor
+  /// past the sum of its children.
+  void ReleaseUpTo(size_t bytes, const MemoryBudget* stop);
 
   std::string name_;
   std::atomic<size_t> capacity_;

@@ -145,6 +145,24 @@ TEST(MemoryBudgetTest, ChildCapHitsBeforeParent) {
   EXPECT_EQ(parent.reserved(), 0u);
 }
 
+TEST(MemoryBudgetTest, CheckFitsRefusesLikeReserveButChargesNothing) {
+  MemoryBudget parent("process", 500);
+  MemoryBudget child("query", 1000, &parent);
+  EXPECT_TRUE(child.CheckFits(500, "source:load").ok());
+  EXPECT_EQ(child.reserved(), 0u);
+  EXPECT_EQ(parent.reserved(), 0u);
+
+  // Refused at the parent with Reserve's message, still charging nothing.
+  Result<MemoryReservation> held = parent.Reserve(200, "gather");
+  ASSERT_TRUE(held.ok());
+  Status refused = child.CheckFits(400, "source:load");
+  EXPECT_EQ(refused.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(refused.message(),
+            child.Reserve(400, "source:load").status().message());
+  EXPECT_EQ(child.reserved(), 0u);
+  EXPECT_EQ(parent.reserved(), 200u);
+}
+
 TEST(MemoryBudgetTest, ConcurrentReservationsNeverOverflow) {
   MemoryBudget budget("shared", 1000);
   std::atomic<int> granted{0};
@@ -164,6 +182,38 @@ TEST(MemoryBudgetTest, ConcurrentReservationsNeverOverflow) {
   for (auto& t : threads) t.join();
   EXPECT_GT(granted.load(), 0);
   EXPECT_EQ(budget.reserved(), 0u);
+}
+
+// A parent only ever holds what its children's live reservations put on
+// it: with every charge going through one capped child, a sampler must
+// never see the parent above the child's cap, however the children's
+// reserves and releases interleave.
+TEST(MemoryBudgetTest, ParentNeverExceedsChildCapUnderChurn) {
+  MemoryBudget parent("process");  // unlimited: accounting only
+  MemoryBudget child("query", 1000, &parent);
+  std::atomic<bool> done{false};
+  std::atomic<size_t> max_seen{0};
+  std::thread sampler([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      size_t now = parent.reserved();
+      if (now > max_seen.load(std::memory_order_relaxed)) {
+        max_seen.store(now, std::memory_order_relaxed);
+      }
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 4; ++i) {
+    threads.emplace_back([&] {
+      for (int j = 0; j < 20000; ++j) {
+        Result<MemoryReservation> r = child.Reserve(400, "op");
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  done.store(true, std::memory_order_relaxed);
+  sampler.join();
+  EXPECT_LE(max_seen.load(), 1000u);
+  EXPECT_EQ(parent.reserved(), 0u);
 }
 
 TEST(MemoryBudgetTest, MoveTransfersOwnership) {
