@@ -425,9 +425,9 @@ ExecContext Dashboard::exec_context() const {
   return ctx;
 }
 
-Result<ExecutionStats> Dashboard::Run(Tracer* tracer,
-                                      CancellationToken* cancel) {
-  ScopedSpan run_span(tracer, "dashboard.run");
+ExecuteOptions Dashboard::MakeExecuteOptions(Tracer* tracer,
+                                             SpanId trace_parent,
+                                             CancellationToken* cancel) const {
   ExecuteOptions exec_options;
   exec_options.num_threads = options_.num_threads;
   exec_options.base_dir = options_.base_dir;
@@ -442,8 +442,14 @@ Result<ExecutionStats> Dashboard::Run(Tracer* tracer,
   exec_options.result_cache = options_.result_cache;
   exec_options.cancel = cancel;
   exec_options.tracer = tracer;
-  exec_options.trace_parent = run_span.id();
-  Executor executor(exec_options);
+  exec_options.trace_parent = trace_parent;
+  return exec_options;
+}
+
+Result<ExecutionStats> Dashboard::Run(Tracer* tracer,
+                                      CancellationToken* cancel) {
+  ScopedSpan run_span(tracer, "dashboard.run");
+  Executor executor(MakeExecuteOptions(tracer, run_span.id(), cancel));
   SI_ASSIGN_OR_RETURN(ExecutionStats stats, executor.Execute(plan_, &store_));
   SI_RETURN_IF_ERROR(RebuildCubes(tracer, run_span.id()));
   if (!ran_) {
@@ -471,21 +477,7 @@ Result<ExecutionStats> Dashboard::RunIncremental(
     const std::set<std::string>& dirty) {
   Tracer* tracer = options_.tracer;
   ScopedSpan run_span(tracer, "dashboard.run_incremental");
-  ExecuteOptions exec_options;
-  exec_options.num_threads = options_.num_threads;
-  exec_options.base_dir = options_.base_dir;
-  exec_options.shared = options_.shared_tables;
-  exec_options.connectors = options_.connectors;
-  exec_options.formats = options_.formats;
-  exec_options.flow_retry_attempts = options_.flow_retry_attempts;
-  exec_options.morsel_rows = options_.morsel_rows;
-  exec_options.mem_budget_bytes = options_.mem_budget_bytes;
-  exec_options.enable_spill = options_.enable_spill;
-  exec_options.spill_dir = options_.spill_dir;
-  exec_options.result_cache = options_.result_cache;
-  exec_options.tracer = tracer;
-  exec_options.trace_parent = run_span.id();
-  Executor executor(exec_options);
+  Executor executor(MakeExecuteOptions(tracer, run_span.id()));
   SI_ASSIGN_OR_RETURN(ExecutionStats stats,
                       executor.ExecuteIncremental(plan_, &store_, dirty));
   SI_RETURN_IF_ERROR(RebuildCubes(tracer, run_span.id()));
@@ -526,21 +518,7 @@ Result<Dashboard::AppendResult> Dashboard::AppendDelta(
   Tracer* tracer = options_.tracer;
   ScopedSpan run_span(tracer, "dashboard.append");
   run_span.AddAttribute("object", object);
-  ExecuteOptions exec_options;
-  exec_options.num_threads = options_.num_threads;
-  exec_options.base_dir = options_.base_dir;
-  exec_options.shared = options_.shared_tables;
-  exec_options.connectors = options_.connectors;
-  exec_options.formats = options_.formats;
-  exec_options.flow_retry_attempts = options_.flow_retry_attempts;
-  exec_options.morsel_rows = options_.morsel_rows;
-  exec_options.mem_budget_bytes = options_.mem_budget_bytes;
-  exec_options.enable_spill = options_.enable_spill;
-  exec_options.spill_dir = options_.spill_dir;
-  exec_options.result_cache = options_.result_cache;
-  exec_options.tracer = tracer;
-  exec_options.trace_parent = run_span.id();
-  Executor executor(exec_options);
+  Executor executor(MakeExecuteOptions(tracer, run_span.id()));
   size_t rows_appended = delta->num_rows();
   SI_ASSIGN_OR_RETURN(
       AppendOutcome outcome,

@@ -248,6 +248,11 @@ class Dashboard {
   Status ApplyDefaultSelections();
   Status RebuildCubes(Tracer* tracer, SpanId trace_parent);
 
+  /// The executor knobs every run of this dashboard shares, traced under
+  /// `trace_parent`. Only Run passes a cancellation token.
+  ExecuteOptions MakeExecuteOptions(Tracer* tracer, SpanId trace_parent,
+                                    CancellationToken* cancel = nullptr) const;
+
   /// Cube maintenance after an append: endpoints that took a delta are
   /// copy-extended (DataCube::Append); fully-rewritten ones rebuild.
   Status RefreshCubesAfterAppend(const AppendOutcome& outcome, Tracer* tracer,

@@ -272,8 +272,9 @@ class Executor {
   /// persistent state carried in `state` and re-emit; anything else falls
   /// back to a full re-run of that flow. Results are byte-identical to
   /// Execute() over the grown inputs (the delta-equivalence suite checks
-  /// this oracle). Deltas charge the memory budget ("append:*"
-  /// reservations) and probe the cancellation token like any morsel.
+  /// this oracle). Deltas charge the memory budget ("append:delta",
+  /// "append:concat"; retained accumulator state is only checked,
+  /// "append:state") and probe the cancellation token like any morsel.
   /// Replaced table versions are precisely invalidated in the result
   /// cache and fresh outputs inserted under their new input versions.
   /// `state` may be null (group-bys then re-run fully each append); when
@@ -285,8 +286,21 @@ class Executor {
                                       IncrementalState* state);
 
  private:
+  /// What one call sets up once and shares across its flows: the thread
+  /// pool, memory budget and spill area, the task step, the flow runner
+  /// and the failure tail. Defined in executor.cc.
+  class Env;
+
   Result<ExecutionStats> Run(const ExecutionPlan& plan, DataStore* store,
                              const std::set<std::string>* dirty);
+  /// The bodies of Run and ExecuteAppend; their callers route every
+  /// error through Env's failure tail.
+  Status RunPlan(const ExecutionPlan& plan, DataStore* store,
+                 const std::set<std::string>* dirty, Env& env,
+                 ExecutionStats* stats);
+  Status ApplyAppend(const ExecutionPlan& plan, DataStore* store,
+                     const std::string& object, const TablePtr& delta_rows,
+                     IncrementalState* inc, Env& env, AppendOutcome* outcome);
 
   ExecuteOptions options_;
 };

@@ -734,30 +734,65 @@ Result<TablePtr> AggregateDenseTyped(const TablePtr& input,
       });
 }
 
+/// Input column positions and aggregator factories of one group-by,
+/// resolved against the schema of the table it reads.
+struct GroupByBinding {
+  std::vector<size_t> key_idx;
+  // apply_on column index per aggregate; SIZE_MAX = count over the first
+  // key column (counts rows).
+  std::vector<size_t> agg_idx;
+  std::vector<AggregatorFactory> factories;
+};
+
+Result<GroupByBinding> BindGroupBy(const Schema& schema,
+                                   const std::vector<std::string>& keys,
+                                   const std::vector<AggregateSpec>& aggregates,
+                                   AggregateRegistry* registry) {
+  GroupByBinding binding;
+  binding.key_idx.resize(keys.size());
+  for (size_t k = 0; k < keys.size(); ++k) {
+    SI_ASSIGN_OR_RETURN(binding.key_idx[k], schema.RequireIndex(keys[k]));
+  }
+  binding.agg_idx.assign(aggregates.size(), SIZE_MAX);
+  for (size_t a = 0; a < aggregates.size(); ++a) {
+    if (!aggregates[a].apply_on.empty()) {
+      SI_ASSIGN_OR_RETURN(binding.agg_idx[a],
+                          schema.RequireIndex(aggregates[a].apply_on));
+    }
+    SI_ASSIGN_OR_RETURN(AggregatorFactory factory,
+                        registry->Get(aggregates[a].op));
+    binding.factories.push_back(std::move(factory));
+  }
+  return binding;
+}
+
+/// The `orderby_aggregates` tail: `result`'s rows stably re-sorted
+/// descending by column `agg_col` (the first aggregate).
+Result<TablePtr> SortByAggregateDescending(const TablePtr& result,
+                                           size_t agg_col) {
+  std::vector<size_t> order(result->num_rows());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return result->at(b, agg_col) < result->at(a, agg_col);
+  });
+  TableBuilder sorted(result->schema());
+  sorted.Reserve(order.size());
+  for (size_t i : order) sorted.AppendRowFrom(*result, i);
+  return sorted.Finish();
+}
+
 }  // namespace
 
 Result<TablePtr> GroupByOp::Execute(const std::vector<TablePtr>& inputs,
                                     const ExecContext& ctx) const {
   const TablePtr& input = inputs[0];
   SI_ASSIGN_OR_RETURN(Schema out_schema, OutputSchema({input->schema()}));
-
-  std::vector<size_t> key_idx(keys_.size());
-  for (size_t k = 0; k < keys_.size(); ++k) {
-    SI_ASSIGN_OR_RETURN(key_idx[k], input->schema().RequireIndex(keys_[k]));
-  }
-  // apply_on column index per aggregate; SIZE_MAX = count over the first
-  // key column (counts rows).
-  std::vector<size_t> agg_idx(aggregates_.size(), SIZE_MAX);
-  std::vector<AggregatorFactory> factories;
-  for (size_t a = 0; a < aggregates_.size(); ++a) {
-    if (!aggregates_[a].apply_on.empty()) {
-      SI_ASSIGN_OR_RETURN(agg_idx[a],
-                          input->schema().RequireIndex(aggregates_[a].apply_on));
-    }
-    SI_ASSIGN_OR_RETURN(AggregatorFactory factory,
-                        registry_->Get(aggregates_[a].op));
-    factories.push_back(std::move(factory));
-  }
+  SI_ASSIGN_OR_RETURN(
+      GroupByBinding binding,
+      BindGroupBy(input->schema(), keys_, aggregates_, registry_));
+  const std::vector<size_t>& key_idx = binding.key_idx;
+  const std::vector<size_t>& agg_idx = binding.agg_idx;
+  const std::vector<AggregatorFactory>& factories = binding.factories;
 
   // User-registered aggregates may predate Merge; without it partials
   // cannot combine, so run those as a single morsel (sequential path).
@@ -844,17 +879,7 @@ Result<TablePtr> GroupByOp::Execute(const std::vector<TablePtr>& inputs,
   }
 
   if (orderby_aggregates_ && !aggregates_.empty()) {
-    // Sort descending by the first aggregate column.
-    size_t agg_col = keys_.size();
-    std::vector<size_t> order(result->num_rows());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return result->at(b, agg_col) < result->at(a, agg_col);
-    });
-    TableBuilder sorted(result->schema());
-    sorted.Reserve(order.size());
-    for (size_t i : order) sorted.AppendRowFrom(*result, i);
-    return sorted.Finish();
+    return SortByAggregateDescending(result, keys_.size());
   }
   return result;
 }
@@ -887,10 +912,9 @@ class GroupByDeltaState : public OperatorState {
 /// coincides with Value equality, and Update-in-row-order equals
 /// Update-then-Merge for every built-in aggregate.
 Status AbsorbRows(GroupByDeltaState& state, const TablePtr& input,
-                  const std::vector<size_t>& key_idx,
-                  const std::vector<size_t>& agg_idx,
-                  const std::vector<AggregatorFactory>& factories,
-                  const ExecContext& ctx) {
+                  const GroupByBinding& binding, const ExecContext& ctx) {
+  const std::vector<size_t>& key_idx = binding.key_idx;
+  const std::vector<size_t>& agg_idx = binding.agg_idx;
   std::vector<const Value*> agg_vals =
       AggregateInputs(input, agg_idx, key_idx[0]);
   std::vector<Value> key(key_idx.size());
@@ -903,7 +927,7 @@ Status AbsorbRows(GroupByDeltaState& state, const TablePtr& input,
     if (inserted) {
       GroupByDeltaState::StateGroup group;
       group.key = key;
-      for (const AggregatorFactory& factory : factories) {
+      for (const AggregatorFactory& factory : binding.factories) {
         group.aggs.push_back(factory());
       }
       state.ordered.push_back(std::move(group));
@@ -931,24 +955,11 @@ DeltaMode GroupByOp::delta_mode(const std::vector<bool>&) const {
 Result<OperatorStatePtr> GroupByOp::SeedDeltaState(
     const std::vector<TablePtr>& base_inputs, const ExecContext& ctx) const {
   const TablePtr& input = base_inputs[0];
-  std::vector<size_t> key_idx(keys_.size());
-  for (size_t k = 0; k < keys_.size(); ++k) {
-    SI_ASSIGN_OR_RETURN(key_idx[k], input->schema().RequireIndex(keys_[k]));
-  }
-  std::vector<size_t> agg_idx(aggregates_.size(), SIZE_MAX);
-  std::vector<AggregatorFactory> factories;
-  for (size_t a = 0; a < aggregates_.size(); ++a) {
-    if (!aggregates_[a].apply_on.empty()) {
-      SI_ASSIGN_OR_RETURN(
-          agg_idx[a], input->schema().RequireIndex(aggregates_[a].apply_on));
-    }
-    SI_ASSIGN_OR_RETURN(AggregatorFactory factory,
-                        registry_->Get(aggregates_[a].op));
-    factories.push_back(std::move(factory));
-  }
+  SI_ASSIGN_OR_RETURN(
+      GroupByBinding binding,
+      BindGroupBy(input->schema(), keys_, aggregates_, registry_));
   auto state = std::make_shared<GroupByDeltaState>();
-  SI_RETURN_IF_ERROR(
-      AbsorbRows(*state, input, key_idx, agg_idx, factories, ctx));
+  SI_RETURN_IF_ERROR(AbsorbRows(*state, input, binding, ctx));
   return OperatorStatePtr(std::move(state));
 }
 
@@ -962,24 +973,10 @@ Result<TablePtr> GroupByOp::ExecuteDelta(const std::vector<TablePtr>& inputs,
   }
   const TablePtr& delta = inputs[0];
   SI_ASSIGN_OR_RETURN(Schema out_schema, OutputSchema({delta->schema()}));
-
-  std::vector<size_t> key_idx(keys_.size());
-  for (size_t k = 0; k < keys_.size(); ++k) {
-    SI_ASSIGN_OR_RETURN(key_idx[k], delta->schema().RequireIndex(keys_[k]));
-  }
-  std::vector<size_t> agg_idx(aggregates_.size(), SIZE_MAX);
-  std::vector<AggregatorFactory> factories;
-  for (size_t a = 0; a < aggregates_.size(); ++a) {
-    if (!aggregates_[a].apply_on.empty()) {
-      SI_ASSIGN_OR_RETURN(
-          agg_idx[a], delta->schema().RequireIndex(aggregates_[a].apply_on));
-    }
-    SI_ASSIGN_OR_RETURN(AggregatorFactory factory,
-                        registry_->Get(aggregates_[a].op));
-    factories.push_back(std::move(factory));
-  }
-  SI_RETURN_IF_ERROR(
-      AbsorbRows(*gb_state, delta, key_idx, agg_idx, factories, ctx));
+  SI_ASSIGN_OR_RETURN(
+      GroupByBinding binding,
+      BindGroupBy(delta->schema(), keys_, aggregates_, registry_));
+  SI_RETURN_IF_ERROR(AbsorbRows(*gb_state, delta, binding, ctx));
 
   // Re-emit the whole output from live state — the same materialization
   // (and optional descending re-sort) as the cold path's tail, including
@@ -1005,16 +1002,7 @@ Result<TablePtr> GroupByOp::ExecuteDelta(const std::vector<TablePtr>& inputs,
           }));
 
   if (orderby_aggregates_ && !aggregates_.empty()) {
-    size_t agg_col = keys_.size();
-    std::vector<size_t> order(result->num_rows());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return result->at(b, agg_col) < result->at(a, agg_col);
-    });
-    TableBuilder sorted(result->schema());
-    sorted.Reserve(order.size());
-    for (size_t i : order) sorted.AppendRowFrom(*result, i);
-    return sorted.Finish();
+    return SortByAggregateDescending(result, keys_.size());
   }
   return result;
 }

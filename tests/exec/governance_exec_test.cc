@@ -7,13 +7,16 @@
 #include <thread>
 
 #include "compile/compiler.h"
+#include "common/fault.h"
 #include "compile/diagnostics.h"
 #include "exec/executor.h"
 #include "flow/flow_file.h"
 #include "gov/cancellation.h"
 #include "gov/memory_budget.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "ops/aggregate.h"
+#include "table/append.h"
 
 namespace shareinsights {
 namespace {
@@ -263,6 +266,195 @@ TEST(GovernanceExecTest, GovernedRunsAreDeterministic) {
   std::string reference = run(1, 0, 0);
   EXPECT_EQ(run(4, 7, 0), reference);
   EXPECT_EQ(run(2, 16, 64 * 1024 * 1024), reference);
+}
+
+// ------------------------------------------------------------------
+// Run and ExecuteAppend share one task step and one failure tail.
+// ------------------------------------------------------------------
+
+// Inline-CSV flow with a delta-maintainable filter (D.kept) and a top-n
+// (D.top), which cannot take deltas and re-runs fully on every append.
+ExecutionPlan CompileAppendFlow() {
+  std::string csv = "key,value\n";
+  for (int i = 0; i < 40; ++i) {
+    csv += "k" + std::to_string(i % 4) + "," + std::to_string(i) + "\n";
+  }
+  std::string text = std::string("D:\n") +
+                     "  events: [key, value]\n"
+                     "D.events:\n"
+                     "  protocol: inline\n"
+                     "  format: csv\n"
+                     "  data: \"" + csv + "\"\n"
+                     "F:\n"
+                     "  D.kept: D.events | T.keep\n"
+                     "  D.top: D.events | T.top\n"
+                     "D.kept:\n"
+                     "  endpoint: true\n"
+                     "D.top:\n"
+                     "  endpoint: true\n"
+                     "T:\n"
+                     "  keep:\n"
+                     "    type: filter_by\n"
+                     "    filter_expression: 'value >= 10'\n"
+                     "  top:\n"
+                     "    type: topn\n"
+                     "    groupby: [key]\n"
+                     "    orderby_column: [value desc]\n"
+                     "    limit: 2\n";
+  auto file = ParseFlowFile(text, "governance_append");
+  EXPECT_TRUE(file.ok()) << file.status();
+  auto plan = CompileFlowFile(*file);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  return *plan;
+}
+
+TablePtr AppendBatch(const DataStore& store, int rows) {
+  std::vector<std::vector<Value>> values;
+  for (int i = 0; i < rows; ++i) {
+    values.push_back({Value("k" + std::to_string(i % 4)),
+                      Value(static_cast<int64_t>(100 + i))});
+  }
+  auto batch = MakeAppendBatch(**store.Get("events"), values);
+  EXPECT_TRUE(batch.ok()) << batch.status();
+  return *batch;
+}
+
+const Span* FindSpan(const std::vector<Span>& spans, const std::string& name) {
+  for (const Span& span : spans) {
+    if (span.name == name) return &span;
+  }
+  return nullptr;
+}
+
+bool HasAttribute(const Span& span, const std::string& key) {
+  for (const auto& [k, v] : span.attributes) {
+    if (k == key) return true;
+  }
+  return false;
+}
+
+TEST(GovernanceExecTest, CancelledAppendCountsAsCancelledQuery) {
+  ExecutionPlan plan = CompileAppendFlow();
+  DataStore store;
+  ASSERT_TRUE(Executor().Execute(plan, &store).ok());
+  TablePtr before = *store.Get("events");
+
+  Counter* cancelled_runs = MetricsRegistry::Default().GetCounter(
+      "queries_cancelled_total", "Queries aborted by cooperative cancellation");
+  int64_t count_before = cancelled_runs->Value();
+
+  CancellationToken token;
+  token.Cancel("client went away");
+  ExecuteOptions options;
+  options.cancel = &token;
+  auto outcome = Executor(options).ExecuteAppend(
+      plan, &store, "events", AppendBatch(store, 4), nullptr);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(cancelled_runs->Value() - count_before, 1);
+  EXPECT_EQ(store.Get("events")->get(), before.get());
+}
+
+TEST(GovernanceExecTest, AppendOverBudgetCountsAsFailedRun) {
+  ExecutionPlan plan = CompileAppendFlow();
+  DataStore store;
+  ASSERT_TRUE(Executor().Execute(plan, &store).ok());
+  size_t baseline = MemoryBudget::Process().reserved();
+
+  Counter* failed_runs = MetricsRegistry::Default().GetCounter(
+      "mem_budget_failed_runs_total",
+      "Runs failed by a memory budget rejection");
+  int64_t before = failed_runs->Value();
+
+  ExecuteOptions options;
+  options.mem_budget_bytes = 16;  // smaller than any 8-row batch
+  auto outcome = Executor(options).ExecuteAppend(
+      plan, &store, "events", AppendBatch(store, 8), nullptr);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(outcome.status().message().find("append:delta"),
+            std::string::npos)
+      << outcome.status();
+  EXPECT_EQ(failed_runs->Value() - before, 1);
+  EXPECT_EQ(MemoryBudget::Process().reserved(), baseline);
+}
+
+// A source refused by the process budget fails the run through the same
+// tail as any other refused reservation.
+TEST(GovernanceExecTest, SourceLoadOverProcessBudgetCountsAsFailedRun) {
+  ExecutionPlan plan = CompileAppendFlow();
+  Counter* failed_runs = MetricsRegistry::Default().GetCounter(
+      "mem_budget_failed_runs_total",
+      "Runs failed by a memory budget rejection");
+  int64_t before = failed_runs->Value();
+
+  MemoryBudget& process = MemoryBudget::Process();
+  process.set_capacity(process.reserved() + 16);
+  DataStore store;
+  auto stats = Executor().Execute(plan, &store);
+  process.set_capacity(0);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(stats.status().message().find("source:load"), std::string::npos)
+      << stats.status();
+  EXPECT_EQ(failed_runs->Value() - before, 1);
+}
+
+// Tasks of a flow the append path re-runs fully carry the same span
+// attributes as Run's tasks.
+TEST(GovernanceExecTest, AppendFallbackTasksAreTracedLikeRunTasks) {
+  ExecutionPlan plan = CompileAppendFlow();
+  DataStore store;
+  ASSERT_TRUE(Executor().Execute(plan, &store).ok());
+
+  Tracer tracer;
+  ExecuteOptions options;
+  options.tracer = &tracer;
+  auto outcome = Executor(options).ExecuteAppend(
+      plan, &store, "events", AppendBatch(store, 4), nullptr);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_EQ(outcome->stats.flows_full_fallback, 1);
+
+  std::vector<Span> spans = tracer.Spans();
+  const Span* top = FindSpan(spans, "exec.task:top");
+  ASSERT_NE(top, nullptr);
+  EXPECT_TRUE(HasAttribute(*top, "op"));
+  EXPECT_TRUE(HasAttribute(*top, "rows_in"));
+  EXPECT_TRUE(HasAttribute(*top, "rows_out"));
+  const Span* keep = FindSpan(spans, "exec.delta_task:keep");
+  ASSERT_NE(keep, nullptr);
+  EXPECT_TRUE(HasAttribute(*keep, "rows_out"));
+}
+
+// The exec.node fault site sits inside the task span on the append path,
+// as on Run's: a fault on the delta path leaves a failed delta-task span,
+// and the flow's full re-run then succeeds.
+TEST(GovernanceExecTest, AppendFaultFiresInsideTheTaskSpan) {
+  ExecutionPlan plan = CompileAppendFlow();
+  DataStore store;
+  ASSERT_TRUE(Executor().Execute(plan, &store).ok());
+
+  FaultSpec spec;
+  spec.max_fires = 1;
+  FaultInjector::Get().Arm(kFaultExecNode, spec);
+  Tracer tracer;
+  ExecuteOptions options;
+  options.tracer = &tracer;
+  auto outcome = Executor(options).ExecuteAppend(
+      plan, &store, "events", AppendBatch(store, 4), nullptr);
+  int64_t fires = FaultInjector::Get().fires(kFaultExecNode);
+  FaultInjector::Get().Reset();
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(outcome->stats.flows_full_fallback, 2);
+
+  std::vector<Span> spans = tracer.Spans();
+  const Span* failed = FindSpan(spans, "exec.delta_task:keep");
+  ASSERT_NE(failed, nullptr);
+  EXPECT_FALSE(HasAttribute(*failed, "rows_out"));
+  const Span* rerun = FindSpan(spans, "exec.task:keep");
+  ASSERT_NE(rerun, nullptr);
+  EXPECT_TRUE(HasAttribute(*rerun, "rows_out"));
 }
 
 // ------------------------------------------------------------------
