@@ -12,6 +12,8 @@
 #include <iomanip>
 #include <iostream>
 
+#include "compile/fingerprint.h"
+#include "compile/optimizer.h"
 #include "dashboard/dashboard.h"
 #include "bench_json.h"
 #include "datagen/datagen.h"
@@ -134,12 +136,19 @@ int main() {
     CompileOptions copts;
     copts.optimize = config.optimize;
     copts.filter_pushdown = config.pushdown;
-    copts.endpoint_projection = config.projection;
-    copts.endpoint_columns = ComputeEndpointColumns((*dashboard)->flow_file());
     auto plan = CompileFlowFile((*dashboard)->flow_file(), copts);
     if (!plan.ok()) {
       std::cerr << plan.status() << "\n";
       return EXIT_FAILURE;
+    }
+    if (config.projection) {
+      Status projected = ProjectEndpoints(
+          &*plan, ComputeEndpointColumns((*dashboard)->flow_file()));
+      if (!projected.ok()) {
+        std::cerr << projected << "\n";
+        return EXIT_FAILURE;
+      }
+      ComputePlanFingerprints(&*plan);
     }
     DataStore store;
     Executor executor;

@@ -1,15 +1,16 @@
-// SIMD kernel before/after harness: the hot paths the simd/ library
-// vectorizes (columnar filter at several selectivities, dense dict-code
-// group-by, packed-key hashing), each measured twice in one process —
-// once under the best ISA this host supports and once forced to the
-// portable scalar kernels via the same override SI_SIMD uses. The paired
-// entries land in BENCH_results.json so the speedup is computable from
-// one run (EXPERIMENTS.md quotes these numbers):
+// SIMD kernel harness: the hot paths of the simd/ library. The columnar
+// filter, which has per-ISA variants, is measured at several
+// selectivities twice in one process — once under the best ISA this host
+// supports and once forced to the portable scalar kernels via the same
+// override SI_SIMD uses — so the speedup is computable from one run
+// (EXPERIMENTS.md quotes these numbers). The dense dict-code group-by
+// and packed-key hashing run one implementation on every ISA and are
+// measured once:
 //
 //   simd/filter_selectivity_{10,50,90}_rows_per_sec        best ISA
 //   simd/filter_selectivity_{10,50,90}_scalar_rows_per_sec forced scalar
-//   simd/groupby_dense_rows_per_sec (+ _scalar_)
-//   simd/hash_packed_keys_rows_per_sec (+ _scalar_)
+//   simd/groupby_dense_rows_per_sec
+//   simd/hash_packed_keys_rows_per_sec
 //
 // Usage: bench_simd [rows]   (default 1M)
 
@@ -59,14 +60,20 @@ double TimeBestMs(const std::function<void()>& body) {
   return best;
 }
 
-// Emits the paired best-ISA / forced-scalar entries for one measurement.
-void EmitPair(const std::string& name, size_t rows,
-              const std::function<void()>& body) {
+// Emits the entry for one measurement under the best ISA.
+void Emit(const std::string& name, size_t rows,
+          const std::function<void()>& body) {
   simd::Isa best_isa = simd::SelectedIsa();
   std::string params = std::string("{\"isa\":\"") + simd::IsaName(best_isa) +
                        "\",\"rows\":" + std::to_string(rows) + "}";
   benchjson::EmitBenchMillis("simd/" + name + "_rows_per_sec", params,
                              TimeBestMs(body), static_cast<double>(rows));
+}
+
+// Emits the paired best-ISA / forced-scalar entries for one measurement.
+void EmitPair(const std::string& name, size_t rows,
+              const std::function<void()>& body) {
+  Emit(name, rows, body);
   {
     simd::ScopedIsaForTesting forced(simd::Isa::kScalar);
     std::string scalar_params =
@@ -117,7 +124,7 @@ int main(int argc, char** argv) {
        AggregateSpec{"avg", "score", "mean"}},
       false);
   if (!groupby.ok()) return 1;
-  EmitPair("groupby_dense", rows, [&] {
+  Emit("groupby_dense", rows, [&] {
     auto out = (*groupby)->Execute({input});
     if (!out.ok()) std::abort();
   });
@@ -131,7 +138,7 @@ int main(int argc, char** argv) {
   std::vector<uint64_t> words(kBlock * stride);
   std::vector<uint64_t> hashes(kBlock);
   volatile uint64_t sink = 0;
-  EmitPair("hash_packed_keys", rows, [&] {
+  Emit("hash_packed_keys", rows, [&] {
     uint64_t mix = 0;
     for (size_t begin = 0; begin < rows; begin += kBlock) {
       size_t n = std::min(kBlock, rows - begin);

@@ -1,7 +1,11 @@
 #!/usr/bin/env bash
-# Runs every bench binary and collects their machine-readable result lines
+# Runs every bench binary and merges their machine-readable result lines
 # (one JSON object per measurement, starting with {"bench") into a single
-# JSON array.
+# JSON array: an entry whose "bench" key was measured again is replaced in
+# place, new keys are appended, and entries of benches not run this time
+# are kept, so running a subset does not erase the rest of the record.
+# Each entry written is stamped with the commit it measured
+# ("commit": git rev-parse --short HEAD).
 #
 #   scripts/run_benches.sh [build_dir] [output_file] [bench...]
 #
@@ -50,13 +54,34 @@ for bench in "${BENCHES[@]}"; do
   fi
 done
 
-# Assemble the collected lines into a JSON array.
-{
-  echo "["
-  sed '$!s/$/,/' "$LINES_FILE"
-  echo "]"
-} > "$OUT"
+COMMIT="$(git -C "$(dirname "$0")" rev-parse --short HEAD 2>/dev/null \
+  || echo unknown)"
+python3 - "$OUT" "$LINES_FILE" "$COMMIT" <<'PY' || exit 1
+import json
+import os
+import sys
+
+out, lines_file, commit = sys.argv[1:4]
+record = []
+if os.path.exists(out):
+    with open(out) as f:
+        record = json.load(f)  # a corrupt record fails the run
+index = {entry.get("bench"): i for i, entry in enumerate(record)}
+with open(lines_file) as f:
+    for line in f:
+        entry = json.loads(line)
+        entry["commit"] = commit
+        if entry["bench"] in index:
+            record[index[entry["bench"]]] = entry
+        else:
+            index[entry["bench"]] = len(record)
+            record.append(entry)
+with open(out, "w") as f:
+    f.write("[\n")
+    f.write(",\n".join(json.dumps(e, separators=(",", ":")) for e in record))
+    f.write("\n]\n")
+PY
 
 count="$(grep -c '^{"bench"' "$LINES_FILE" || true)"
-echo "wrote $count results to $OUT" >&2
+echo "merged $count results into $OUT" >&2
 exit "$failed"

@@ -318,8 +318,6 @@ Result<ExecutionPlan> CompileFlowFile(const FlowFile& file,
     ScopedSpan optimize_span(tracer, "compile.optimize", compile_span.id());
     OptimizerOptions opt;
     opt.filter_pushdown = options.filter_pushdown;
-    opt.endpoint_projection = options.endpoint_projection;
-    opt.endpoint_columns = options.endpoint_columns;
     SI_RETURN_IF_ERROR(OptimizePlan(&plan, opt));
   }
 

@@ -1,9 +1,7 @@
 #ifndef SHAREINSIGHTS_COMPILE_COMPILER_H_
 #define SHAREINSIGHTS_COMPILE_COMPILER_H_
 
-#include <map>
 #include <string>
-#include <vector>
 
 #include "compile/plan.h"
 #include "compile/task_factory.h"
@@ -28,14 +26,10 @@ struct CompileOptions {
 
   /// Master switch for the optimizer (ablation benches turn it off).
   bool optimize = true;
-  /// Individual passes (meaningful when optimize is true).
+  /// Individual passes (meaningful when optimize is true). Endpoint
+  /// projection needs the widgets, so the dashboard runs it on the
+  /// compiled plan (compile/optimizer.h's ProjectEndpoints).
   bool filter_pushdown = true;
-  bool endpoint_projection = true;
-
-  /// Columns each endpoint actually needs downstream (computed by the
-  /// dashboard compiler from widget data bindings). Drives the
-  /// "minimize data transfers to the browser" projection pass.
-  std::map<std::string, std::vector<std::string>> endpoint_columns;
 
   /// Registries (defaults when null).
   AggregateRegistry* aggregates = nullptr;
@@ -52,7 +46,7 @@ struct CompileOptions {
 ///   1. binds every task against its flow context (schema-checked),
 ///   2. assembles the flow DAG, rejecting multiple producers and cycles,
 ///   3. propagates schemas from declared sources through every task,
-///   4. runs optimizer passes (filter pushdown, endpoint projection).
+///   4. runs the optimizer's filter pushdown.
 /// Widget/Layout sections are compiled separately by the dashboard
 /// runtime, which calls back into BuildTask for interaction flows.
 Result<ExecutionPlan> CompileFlowFile(const FlowFile& file,

@@ -73,17 +73,29 @@ Status PushdownFilters(ExecutionPlan* plan, OptimizerReport* report) {
   return Status::OK();
 }
 
-Status ProjectEndpoints(ExecutionPlan* plan,
-                        const OptimizerOptions& options,
-                        OptimizerReport* report) {
+}  // namespace
+
+Status OptimizePlan(ExecutionPlan* plan, const OptimizerOptions& options) {
+  OptimizerReport report;
+  if (options.filter_pushdown) {
+    SI_RETURN_IF_ERROR(PushdownFilters(plan, &report));
+  }
+  plan->optimizer_report = report;
+  return Status::OK();
+}
+
+Status ProjectEndpoints(
+    ExecutionPlan* plan,
+    const std::map<std::string, std::vector<std::string>>& endpoint_columns) {
+  OptimizerReport* report = &plan->optimizer_report;
   std::unordered_set<std::string> endpoint_set(plan->endpoints.begin(),
                                                plan->endpoints.end());
   for (CompiledFlow& flow : plan->flows) {
     if (flow.outputs.size() != 1) continue;
     const std::string& output = flow.outputs[0];
     if (endpoint_set.count(output) == 0) continue;
-    auto required_it = options.endpoint_columns.find(output);
-    if (required_it == options.endpoint_columns.end()) continue;
+    auto required_it = endpoint_columns.find(output);
+    if (required_it == endpoint_columns.end()) continue;
     std::unordered_set<std::string> required(required_it->second.begin(),
                                              required_it->second.end());
     // Keep columns in schema order. Required names absent from the
@@ -108,20 +120,6 @@ Status ProjectEndpoints(ExecutionPlan* plan,
     flow.output_schema = projected;
     plan->schemas[output] = std::move(projected);
   }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status OptimizePlan(ExecutionPlan* plan, const OptimizerOptions& options) {
-  OptimizerReport report;
-  if (options.filter_pushdown) {
-    SI_RETURN_IF_ERROR(PushdownFilters(plan, &report));
-  }
-  if (options.endpoint_projection) {
-    SI_RETURN_IF_ERROR(ProjectEndpoints(plan, options, &report));
-  }
-  plan->optimizer_report = report;
   return Status::OK();
 }
 

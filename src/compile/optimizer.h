@@ -14,22 +14,24 @@ struct OptimizerOptions {
   /// Moves filter_by stages ahead of row-local map stages so downstream
   /// work sees fewer rows.
   bool filter_pushdown = true;
-
-  /// Appends a projection to flows feeding endpoints, dropping columns no
-  /// widget consumes — the paper's "minimize data transfers to the
-  /// browser" optimization (section 4.1).
-  bool endpoint_projection = true;
-
-  /// Required columns per endpoint (from widget data bindings). Endpoints
-  /// absent from the map are left unprojected.
-  std::map<std::string, std::vector<std::string>> endpoint_columns;
 };
 
 /// Rewrites the plan in place. Safe by construction: every rewrite
 /// preserves flow semantics (filters only move across operators that
-/// neither produce nor consume the filtered columns; projections only
-/// drop columns proven unused). Updates plan->optimizer_report.
+/// neither produce nor consume the filtered columns). Resets
+/// plan->optimizer_report to this pass's counts.
 Status OptimizePlan(ExecutionPlan* plan, const OptimizerOptions& options);
+
+/// Appends a projection to flows feeding endpoints, dropping columns no
+/// widget consumes — the paper's "minimize data transfers to the
+/// browser" optimization (section 4.1). `endpoint_columns` holds the
+/// required columns per endpoint (from widget data bindings); endpoints
+/// absent from it are left unprojected. Adds to plan->optimizer_report.
+/// The projected chains change, so callers recompute the flow
+/// fingerprints (ComputePlanFingerprints) afterwards.
+Status ProjectEndpoints(
+    ExecutionPlan* plan,
+    const std::map<std::string, std::vector<std::string>>& endpoint_columns);
 
 }  // namespace shareinsights
 

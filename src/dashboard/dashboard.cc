@@ -5,6 +5,8 @@
 #include <unordered_set>
 
 #include "common/string_util.h"
+#include "compile/fingerprint.h"
+#include "compile/optimizer.h"
 #include "dashboard/render.h"
 #include "expr/expr.h"
 #include "store/durability.h"
@@ -234,19 +236,20 @@ Status Dashboard::Compile() {
   compile_options.base_dir = options_.base_dir;
   compile_options.shared = options_.shared_schemas;
   compile_options.optimize = options_.optimize;
-  compile_options.endpoint_projection = false;  // first pass: full schemas
   compile_options.aggregates = options_.aggregates;
   compile_options.scalars = options_.scalars;
   compile_options.tracer = options_.tracer;
   SI_ASSIGN_OR_RETURN(plan_, CompileFlowFile(file_, compile_options));
 
+  // Widgets type-check against the full endpoint schemas, so endpoints
+  // are projected down to what widgets consume only afterwards. The
+  // projected chains need fresh fingerprints, or they would share
+  // result-cache entries with unprojected ones.
   SI_RETURN_IF_ERROR(ValidateWidgets());
-
   if (options_.optimize) {
-    // Second pass: project endpoints down to what widgets consume.
-    compile_options.endpoint_projection = true;
-    compile_options.endpoint_columns = ComputeEndpointColumns(file_);
-    SI_ASSIGN_OR_RETURN(plan_, CompileFlowFile(file_, compile_options));
+    SI_RETURN_IF_ERROR(
+        ProjectEndpoints(&plan_, ComputeEndpointColumns(file_)));
+    ComputePlanFingerprints(&plan_);
   }
   return Status::OK();
 }

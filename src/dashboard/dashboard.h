@@ -305,7 +305,7 @@ class Dashboard {
 
 /// Computes the columns each endpoint must retain for the dashboard's
 /// widgets (data-attribute bindings plus columns consumed by interaction
-/// tasks). Feeds CompileOptions::endpoint_columns — the "minimize data
+/// tasks). Feeds the ProjectEndpoints pass — the "minimize data
 /// transfers to the browser" optimization.
 std::map<std::string, std::vector<std::string>> ComputeEndpointColumns(
     const FlowFile& file);

@@ -58,6 +58,9 @@ class SumAggregator : public Aggregator {
     seen_ = true;
     return Status::OK();
   }
+  Result<std::unique_ptr<Aggregator>> Clone() const override {
+    return std::unique_ptr<Aggregator>(new SumAggregator(*this));
+  }
 
  private:
   bool seen_ = false;
@@ -80,6 +83,9 @@ class CountAggregator : public Aggregator {
     count_ += peer->count_;
     return Status::OK();
   }
+  Result<std::unique_ptr<Aggregator>> Clone() const override {
+    return std::unique_ptr<Aggregator>(new CountAggregator(*this));
+  }
 
  private:
   int64_t count_ = 0;
@@ -100,6 +106,9 @@ class CountDistinctAggregator : public Aggregator {
                         MergePeer<CountDistinctAggregator>(other));
     seen_.insert(peer->seen_.begin(), peer->seen_.end());
     return Status::OK();
+  }
+  Result<std::unique_ptr<Aggregator>> Clone() const override {
+    return std::unique_ptr<Aggregator>(new CountDistinctAggregator(*this));
   }
 
  private:
@@ -126,6 +135,9 @@ class AvgAggregator : public Aggregator {
     sum_ += peer->sum_;
     count_ += peer->count_;
     return Status::OK();
+  }
+  Result<std::unique_ptr<Aggregator>> Clone() const override {
+    return std::unique_ptr<Aggregator>(new AvgAggregator(*this));
   }
 
  private:
@@ -161,6 +173,9 @@ class MinMaxAggregator : public Aggregator {
       seen_ = true;
     }
     return Status::OK();
+  }
+  Result<std::unique_ptr<Aggregator>> Clone() const override {
+    return std::unique_ptr<Aggregator>(new MinMaxAggregator(*this));
   }
 
  private:
@@ -198,6 +213,9 @@ class FirstLastAggregator : public Aggregator {
     }
     seen_ = true;
     return Status::OK();
+  }
+  Result<std::unique_ptr<Aggregator>> Clone() const override {
+    return std::unique_ptr<Aggregator>(new FirstLastAggregator(*this));
   }
 
  private:

@@ -39,6 +39,13 @@ class Aggregator {
     (void)other;
     return Status::Unimplemented("aggregator does not support Merge");
   }
+
+  /// An independent copy of this accumulator's state. The built-in
+  /// aggregates implement it; the streaming group-by uses it to finalize
+  /// a merge without disturbing the state it keeps.
+  virtual Result<std::unique_ptr<Aggregator>> Clone() const {
+    return Status::Unimplemented("aggregator does not support Clone");
+  }
 };
 
 using AggregatorFactory = std::function<std::unique_ptr<Aggregator>()>;

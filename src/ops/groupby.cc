@@ -99,11 +99,6 @@ struct PartialGroups {
   std::vector<const Key*> ordered_keys;
 };
 
-/// Hash-aggregates the whole input, keyed by whatever `fill_key` extracts
-/// per row (packed uint64 words on the fast path, Value vectors on the
-/// generic path). Returns the merged groups in global first-encounter
-/// order — the same order for both key representations, since packed-word
-/// equality coincides with Value equality.
 /// Decoded Value pointers for each aggregate's input column, hoisted out
 /// of the per-row loop (Table::at re-checks the lazy decode cache on
 /// every call; the pointers are stable for the table's lifetime).
@@ -150,39 +145,9 @@ Result<std::vector<Group>> MergePartials(
   return ordered;
 }
 
-template <typename Key, typename Hash, typename FillKey>
-Result<std::vector<Group>> AggregateByKey(
-    const TablePtr& input, const ExecContext& ctx,
-    const std::vector<AggregatorFactory>& factories,
-    const std::vector<size_t>& agg_idx, size_t count_col,
-    const Key& proto_key, FillKey fill_key) {
-  std::vector<MorselRange> ranges = MorselRanges(input->num_rows(), ctx);
-  std::vector<PartialGroups<Key, Hash>> partials(ranges.size());
-  std::vector<const Value*> agg_vals =
-      AggregateInputs(input, agg_idx, count_col);
-  SI_RETURN_IF_ERROR(ForEachMorsel(
-      ctx, input->num_rows(),
-      [&](size_t m, size_t begin, size_t end) -> Status {
-        PartialGroups<Key, Hash>& local = partials[m];
-        Key key = proto_key;
-        for (size_t r = begin; r < end; ++r) {
-          fill_key(r, key);
-          auto [it, inserted] = local.groups.try_emplace(key);
-          if (inserted) {
-            it->second.first_row = r;
-            local.ordered_keys.push_back(&it->first);
-            for (const AggregatorFactory& factory : factories) {
-              it->second.aggs.push_back(factory());
-            }
-          }
-          for (size_t a = 0; a < agg_idx.size(); ++a) {
-            SI_RETURN_IF_ERROR(it->second.aggs[a]->Update(agg_vals[a][r]));
-          }
-        }
-        return Status::OK();
-      }));
-  return MergePartials(std::move(partials));
-}
+/// Rows per key block: a morsel turns its rows into hash-table keys one
+/// block at a time.
+constexpr size_t kKeyBlockRows = 1024;
 
 /// Packed key with its hash precomputed by the batched kernel, so the
 /// hash table never re-mixes words row by row.
@@ -200,40 +165,33 @@ struct PrecomputedHash {
   }
 };
 
-/// Rows packed and hashed per block before probing: PackBlock hoists the
-/// per-column encoding switch out of the row loop and HashPackedKeysBlock
-/// mixes several keys' words at once (AVX2 gathers on x86), leaving only
-/// the hash-table probe itself on the per-row path.
-constexpr size_t kPackBlockRows = 1024;
-
-Result<std::vector<Group>> AggregateByPackedKey(
+/// The Aggregator morsel loop: hash-aggregates the whole input, keyed by
+/// what `fill_block(begin, end, keys)` makes of rows [begin, end) (keys[i]
+/// for row begin + i; it runs on the morsel's thread). Returns the merged
+/// groups in global first-encounter order — the same order for packed
+/// and Value keys, since packed-word equality coincides with Value
+/// equality.
+template <typename Key, typename Hash, typename FillBlock>
+Result<std::vector<Group>> AggregateByKey(
     const TablePtr& input, const ExecContext& ctx,
     const std::vector<AggregatorFactory>& factories,
     const std::vector<size_t>& agg_idx, size_t count_col,
-    const KeyPacker& packer) {
-  std::vector<MorselRange> ranges = MorselRanges(input->num_rows(), ctx);
-  std::vector<PartialGroups<PackedKey, PrecomputedHash>> partials(
-      ranges.size());
+    const FillBlock& fill_block) {
+  std::vector<PartialGroups<Key, Hash>> partials(
+      MorselRanges(input->num_rows(), ctx).size());
   std::vector<const Value*> agg_vals =
       AggregateInputs(input, agg_idx, count_col);
-  const size_t stride = packer.stride();
   SI_RETURN_IF_ERROR(ForEachMorsel(
       ctx, input->num_rows(),
       [&](size_t m, size_t begin, size_t end) -> Status {
-        PartialGroups<PackedKey, PrecomputedHash>& local = partials[m];
-        std::vector<uint64_t> words(kPackBlockRows * stride);
-        std::vector<uint64_t> hashes(kPackBlockRows);
-        PackedKey key;
-        for (size_t block = begin; block < end; block += kPackBlockRows) {
-          const size_t bn = std::min(kPackBlockRows, end - block);
-          packer.PackBlock(block, block + bn, words.data());
-          simd::HashPackedKeysBlock(words.data(), stride, bn, hashes.data());
-          for (size_t i = 0; i < bn; ++i) {
-            const size_t r = block + i;
-            key.words.assign(words.begin() + i * stride,
-                             words.begin() + (i + 1) * stride);
-            key.hash = hashes[i];
-            auto [it, inserted] = local.groups.try_emplace(key);
+        PartialGroups<Key, Hash>& local = partials[m];
+        std::vector<Key> keys(std::min(kKeyBlockRows, end - begin));
+        for (size_t start = begin; start < end; start += kKeyBlockRows) {
+          const size_t n = std::min(kKeyBlockRows, end - start);
+          fill_block(start, start + n, keys.data());
+          for (size_t i = 0; i < n; ++i) {
+            const size_t r = start + i;
+            auto [it, inserted] = local.groups.try_emplace(keys[i]);
             if (inserted) {
               it->second.first_row = r;
               local.ordered_keys.push_back(&it->first);
@@ -251,86 +209,13 @@ Result<std::vector<Group>> AggregateByPackedKey(
   return MergePartials(std::move(partials));
 }
 
-/// Dense fast path for a single low-cardinality dictionary key: groups
-/// index directly by dictionary code (nulls take the one-past-the-end
-/// slot), so the per-row cost is an array lookup instead of a hash-table
-/// probe. First-encounter order per morsel and the morsel-order merge are
-/// identical to the hash paths, so the output rows match byte for byte.
-constexpr size_t kDenseDictGroups = 4096;
-
-struct DensePartial {
-  std::vector<int32_t> slot;         // code -> index into groups, or -1
-  std::vector<Group> groups;         // in first-encounter order
-  std::vector<uint32_t> group_codes; // code per group
-};
-
-Result<std::vector<Group>> AggregateByDictCode(
-    const TablePtr& input, const ExecContext& ctx,
-    const std::vector<AggregatorFactory>& factories,
-    const std::vector<size_t>& agg_idx, size_t count_col,
-    const ColumnData& key_col) {
-  const uint32_t null_code = static_cast<uint32_t>(key_col.dict().size());
-  const size_t slots = null_code + 1;
-  const uint32_t* codes = key_col.codes().data();
-  const uint8_t* nulls =
-      key_col.has_nulls() ? key_col.nulls().data() : nullptr;
-  std::vector<const Value*> agg_vals =
-      AggregateInputs(input, agg_idx, count_col);
-
-  std::vector<MorselRange> ranges = MorselRanges(input->num_rows(), ctx);
-  std::vector<DensePartial> partials(ranges.size());
-  SI_RETURN_IF_ERROR(ForEachMorsel(
-      ctx, input->num_rows(),
-      [&](size_t m, size_t begin, size_t end) -> Status {
-        DensePartial& local = partials[m];
-        local.slot.assign(slots, -1);
-        for (size_t r = begin; r < end; ++r) {
-          uint32_t code =
-              (nulls != nullptr && nulls[r] != 0) ? null_code : codes[r];
-          int32_t g = local.slot[code];
-          if (g < 0) {
-            g = static_cast<int32_t>(local.groups.size());
-            local.slot[code] = g;
-            local.groups.emplace_back();
-            local.groups[g].first_row = r;
-            for (const AggregatorFactory& factory : factories) {
-              local.groups[g].aggs.push_back(factory());
-            }
-            local.group_codes.push_back(code);
-          }
-          Group& group = local.groups[g];
-          for (size_t a = 0; a < agg_idx.size(); ++a) {
-            SI_RETURN_IF_ERROR(group.aggs[a]->Update(agg_vals[a][r]));
-          }
-        }
-        return Status::OK();
-      }));
-
-  // Merge partials in morsel order (same contract as the hash paths).
-  std::vector<int32_t> slot(slots, -1);
-  std::vector<Group> ordered;
-  for (DensePartial& local : partials) {
-    for (size_t i = 0; i < local.groups.size(); ++i) {
-      uint32_t code = local.group_codes[i];
-      int32_t g = slot[code];
-      if (g < 0) {
-        slot[code] = static_cast<int32_t>(ordered.size());
-        ordered.push_back(std::move(local.groups[i]));
-      } else {
-        for (size_t a = 0; a < ordered[g].aggs.size(); ++a) {
-          SI_RETURN_IF_ERROR(
-              ordered[g].aggs[a]->Merge(*local.groups[i].aggs[a]));
-        }
-      }
-    }
-  }
-  return ordered;
-}
-
 // ---------------------------------------------------------------------------
-// Typed dense path: the dense dict-code layout above, but with the
-// per-row Aggregator virtual calls (and the decoded Value arrays they
-// consume) compiled away. Each aggregate spec lowers to a typed
+// Typed dense path, for a single low-cardinality dictionary key whose
+// aggregates all have typed forms: groups index directly by dictionary
+// code (nulls take the one-past-the-end slot), so the per-row cost is an
+// array lookup instead of a hash-table probe, and the per-row Aggregator
+// virtual calls (and the decoded Value arrays they consume) are compiled
+// away. Each aggregate spec lowers to a typed
 // accumulator over the column's raw array; commutative kinds (count,
 // int64 sum, int64/code min-max) run on the striped simd kernels, while
 // order-sensitive double accumulation (sum/avg/min-max ties like
@@ -340,6 +225,8 @@ Result<std::vector<Group>> AggregateByDictCode(
 // replicated exactly, so the output is byte-identical to the Aggregator
 // path.
 // ---------------------------------------------------------------------------
+
+constexpr size_t kDenseDictGroups = 4096;
 
 // Mirrors value.cc's CompareDoubles: total order with NaN equal to itself
 // and after every number (what Value's min/max comparisons use).
@@ -373,8 +260,8 @@ struct TypedAggSpec {
 
 /// Lowers the aggregate specs to typed accumulators, or nullopt when any
 /// spec has no typed form (first/last/count_distinct, kGeneric or bool
-/// inputs, sum/avg over strings, ...) — those keep the Aggregator dense
-/// path, preserving its exact error behavior too.
+/// inputs, sum/avg over strings, ...) — those take the Aggregator loop,
+/// preserving its exact error behavior too.
 std::optional<std::vector<TypedAggSpec>> CompileTypedAggs(
     const TablePtr& input, const std::vector<AggregateSpec>& aggregates,
     const std::vector<size_t>& agg_idx, size_t count_col) {
@@ -805,12 +692,10 @@ Result<TablePtr> GroupByOp::Execute(const std::vector<TablePtr>& inputs,
     }
   }
 
-  // Fast paths, most specialized first: a single low-cardinality dict key
-  // with fully typed aggregates runs the kernel-backed dense path; the
-  // same key shape with untyped aggregates keeps the dense Aggregator
-  // path; any fully packable key set hashes raw uint64 words; otherwise
-  // the hash table keys on Value vectors.
-  std::optional<KeyPacker> packer = KeyPacker::Create(*input, key_idx);
+  // A single low-cardinality dict key with fully typed aggregates runs
+  // the kernel-backed dense path. Everything else runs the Aggregator
+  // loop, hashing packed uint64 words, or Value vectors when KeyPacker
+  // rejects a key column.
   const ColumnData& first_key = input->typed_column(key_idx[0]);
   const bool dense_key = key_idx.size() == 1 &&
                          first_key.encoding() == ColumnEncoding::kDict &&
@@ -827,25 +712,42 @@ Result<TablePtr> GroupByOp::Execute(const std::vector<TablePtr>& inputs,
                                     keys_.size() + aggregates_.size()));
   } else {
     std::vector<Group> ordered;
-    if (dense_key) {
-      SI_ASSIGN_OR_RETURN(ordered, AggregateByDictCode(input, effective,
-                                                       factories, agg_idx,
-                                                       key_idx[0], first_key));
-    } else if (packer.has_value()) {
-      SI_ASSIGN_OR_RETURN(
-          ordered, AggregateByPackedKey(input, effective, factories, agg_idx,
-                                        key_idx[0], *packer));
+    if (std::optional<KeyPacker> packer =
+            KeyPacker::Create(*input, key_idx)) {
+      // PackBlock hoists the per-column encoding switch out of the row
+      // loop and HashPackedKeysBlock hashes the whole block in one pass,
+      // leaving only the hash-table probe itself on the per-row path.
+      const size_t stride = packer->stride();
+      auto pack = [&](size_t begin, size_t end, PackedKey* keys) {
+        std::vector<uint64_t> words((end - begin) * stride);
+        std::vector<uint64_t> hashes(end - begin);
+        packer->PackBlock(begin, end, words.data());
+        simd::HashPackedKeysBlock(words.data(), stride, end - begin,
+                                  hashes.data());
+        for (size_t i = 0; i < end - begin; ++i) {
+          keys[i].words.assign(words.begin() + i * stride,
+                               words.begin() + (i + 1) * stride);
+          keys[i].hash = hashes[i];
+        }
+      };
+      SI_ASSIGN_OR_RETURN(ordered,
+                          (AggregateByKey<PackedKey, PrecomputedHash>(
+                              input, effective, factories, agg_idx,
+                              key_idx[0], pack)));
     } else {
-      SI_ASSIGN_OR_RETURN(
-          ordered,
-          (AggregateByKey<std::vector<Value>, KeyHash>(
-              input, effective, factories, agg_idx, key_idx[0],
-              std::vector<Value>(keys_.size()),
-              [&](size_t r, std::vector<Value>& key) {
-                for (size_t k = 0; k < key_idx.size(); ++k) {
-                  key[k] = input->at(r, key_idx[k]);
-                }
-              })));
+      auto decode = [&](size_t begin, size_t end, std::vector<Value>* keys) {
+        for (size_t r = begin; r < end; ++r) {
+          std::vector<Value>& key = keys[r - begin];
+          key.resize(key_idx.size());
+          for (size_t k = 0; k < key_idx.size(); ++k) {
+            key[k] = input->at(r, key_idx[k]);
+          }
+        }
+      };
+      SI_ASSIGN_OR_RETURN(ordered,
+                          (AggregateByKey<std::vector<Value>, KeyHash>(
+                              input, effective, factories, agg_idx,
+                              key_idx[0], decode)));
     }
 
     // Materialize rows in group-encounter order. The output (group keys +
@@ -887,59 +789,107 @@ Result<TablePtr> GroupByOp::Execute(const std::vector<TablePtr>& inputs,
 
 namespace {
 
-/// Persistent accumulator state for the streaming append path: one live
-/// Aggregator set per group, in global first-encounter order. Keys are
-/// the materialized first-encounter-row Values, so emission matches the
-/// cold path's GetValue(first_row) bit for bit (0.0 vs -0.0 etc.).
+/// Persistent accumulator state for the streaming append path, groups in
+/// global first-encounter order. Keys are the materialized
+/// first-encounter-row Values, so emission matches the cold path's
+/// GetValue(first_row) bit for bit (0.0 vs -0.0 etc.).
+///
+/// Accumulation follows the cold path's morsel boundaries (multiples of
+/// ctx.morsel_rows over the whole grown input). Each group keeps a
+/// `closed` accumulator, its complete morsels merged exactly as
+/// MergePartials merges them (first partial moved, later ones merged),
+/// and an `open` one for the current morsel, updated in row order.
+/// Double addition is not associative, so folding every row into one
+/// accumulator would drift from the cold path in the low bits.
 class GroupByDeltaState : public OperatorState {
  public:
+  using Aggs = std::vector<std::unique_ptr<Aggregator>>;
   struct StateGroup {
-    std::vector<Value> key;
-    std::vector<std::unique_ptr<Aggregator>> aggs;
+    /// The group's output row: its key, then, once emitted, closed ⊕ open
+    /// finalized. The aggregates stay until the group absorbs another row
+    /// (closing a morsel leaves them unchanged).
+    std::vector<Value> row;
+    Aggs closed;  // empty until a morsel holding the group closes
+    Aggs open;    // empty while the open morsel has no row of the group
   };
 
   std::unordered_map<std::vector<Value>, size_t, KeyHash> index;
   std::vector<StateGroup> ordered;
+  std::vector<size_t> open_groups;  // groups with rows in the open morsel
+  size_t rows = 0;                  // rows absorbed so far
   size_t num_cells = 0;  // groups * (keys + aggregates), for ApproxBytes
 
   size_t ApproxBytes() const override { return ApproxCellBytes(1, num_cells); }
 };
 
-/// Sequentially folds every row of `input` into the state. Sequential
-/// Value-keyed accumulation reproduces the parallel paths' group order
-/// and aggregate values exactly: morsel-merge order equals sequential
-/// scan order (repo invariant), packed-word/dense-code equality
-/// coincides with Value equality, and Update-in-row-order equals
-/// Update-then-Merge for every built-in aggregate.
+/// Folds the open morsel's accumulators into the closed ones.
+Status CloseMorsel(GroupByDeltaState& state) {
+  for (size_t g : state.open_groups) {
+    GroupByDeltaState::StateGroup& group = state.ordered[g];
+    if (group.closed.empty()) {
+      group.closed = std::move(group.open);
+    } else {
+      for (size_t a = 0; a < group.closed.size(); ++a) {
+        SI_RETURN_IF_ERROR(group.closed[a]->Merge(*group.open[a]));
+      }
+    }
+    group.open.clear();
+  }
+  state.open_groups.clear();
+  return Status::OK();
+}
+
+/// Folds every row of `input` into the state, in row order, closing the
+/// open morsel at each multiple of ctx.morsel_rows. With packed-word and
+/// dense-code equality coinciding with Value equality, this reproduces
+/// the cold path's group order and aggregate bits exactly.
 Status AbsorbRows(GroupByDeltaState& state, const TablePtr& input,
                   const GroupByBinding& binding, const ExecContext& ctx) {
   const std::vector<size_t>& key_idx = binding.key_idx;
   const std::vector<size_t>& agg_idx = binding.agg_idx;
+  const size_t morsel_rows = std::max<size_t>(1, ctx.morsel_rows);
   std::vector<const Value*> agg_vals =
       AggregateInputs(input, agg_idx, key_idx[0]);
   std::vector<Value> key(key_idx.size());
-  for (size_t r = 0; r < input->num_rows(); ++r) {
+  for (size_t r = 0; r < input->num_rows(); ++r, ++state.rows) {
     if ((r & 4095) == 0) SI_RETURN_IF_ERROR(ctx.CheckCancelled());
+    if (state.rows > 0 && state.rows % morsel_rows == 0) {
+      SI_RETURN_IF_ERROR(CloseMorsel(state));
+    }
     for (size_t k = 0; k < key_idx.size(); ++k) {
       key[k] = input->at(r, key_idx[k]);
     }
     auto [it, inserted] = state.index.try_emplace(key, state.ordered.size());
     if (inserted) {
-      GroupByDeltaState::StateGroup group;
-      group.key = key;
-      for (const AggregatorFactory& factory : binding.factories) {
-        group.aggs.push_back(factory());
-      }
-      state.ordered.push_back(std::move(group));
+      state.ordered.push_back(GroupByDeltaState::StateGroup{key, {}, {}});
       state.num_cells += key_idx.size() + agg_idx.size();
     }
-    std::vector<std::unique_ptr<Aggregator>>& aggs =
-        state.ordered[it->second].aggs;
+    GroupByDeltaState::StateGroup& group = state.ordered[it->second];
+    group.row.resize(key_idx.size());
+    if (group.open.empty()) {
+      for (const AggregatorFactory& factory : binding.factories) {
+        group.open.push_back(factory());
+      }
+      state.open_groups.push_back(it->second);
+    }
     for (size_t a = 0; a < agg_idx.size(); ++a) {
-      SI_RETURN_IF_ERROR(aggs[a]->Update(agg_vals[a][r]));
+      SI_RETURN_IF_ERROR(group.open[a]->Update(agg_vals[a][r]));
     }
   }
   return Status::OK();
+}
+
+/// Aggregate `a` of `group` finalized as closed merged with open, leaving
+/// both untouched: only a group with rows on both sides of the open
+/// morsel's start needs a copy.
+Result<Value> FinalizeAggregate(GroupByDeltaState::StateGroup& group,
+                                size_t a) {
+  if (group.open.empty()) return group.closed[a]->Finalize();
+  if (group.closed.empty()) return group.open[a]->Finalize();
+  SI_ASSIGN_OR_RETURN(std::unique_ptr<Aggregator> merged,
+                      group.closed[a]->Clone());
+  SI_RETURN_IF_ERROR(merged->Merge(*group.open[a]));
+  return merged->Finalize();
 }
 
 }  // namespace
@@ -989,14 +939,15 @@ Result<TablePtr> GroupByOp::ExecuteDelta(const std::vector<TablePtr>& inputs,
           [&](size_t begin, size_t end, TableBuilder* builder) -> Status {
             for (size_t g = begin; g < end; ++g) {
               GroupByDeltaState::StateGroup& group = gb_state->ordered[g];
-              std::vector<Value> row;
-              row.reserve(keys_.size() + aggregates_.size());
-              for (const Value& k : group.key) row.push_back(k);
-              for (auto& agg : group.aggs) {
-                SI_ASSIGN_OR_RETURN(Value v, agg->Finalize());
-                row.push_back(std::move(v));
+              if (group.row.size() == keys_.size()) {
+                std::vector<Value> finals;
+                for (size_t a = 0; a < aggregates_.size(); ++a) {
+                  SI_ASSIGN_OR_RETURN(Value v, FinalizeAggregate(group, a));
+                  finals.push_back(std::move(v));
+                }
+                group.row.insert(group.row.end(), finals.begin(), finals.end());
               }
-              SI_RETURN_IF_ERROR(builder->AppendRow(std::move(row)));
+              SI_RETURN_IF_ERROR(builder->AppendRow(group.row));
             }
             return Status::OK();
           }));

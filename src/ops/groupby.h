@@ -50,9 +50,10 @@ class GroupByOp : public TableOperator {
   /// Accumulating streaming: persistent per-group aggregators absorb
   /// appended rows and the whole output is re-emitted — byte-identical to
   /// Execute(base ++ delta) because group first-encounter order over
-  /// base ++ delta is "old groups in old order, then new groups", and
-  /// sequential Value-keyed accumulation reproduces the morsel-merge
-  /// order exactly (repo invariant). Restricted to the default aggregate
+  /// base ++ delta is "old groups in old order, then new groups", and the
+  /// accumulators merge per-morsel partials at the same morsel boundaries
+  /// as Execute (double addition is not associative, so the boundaries
+  /// matter). Restricted to the default aggregate
   /// registry: custom aggregators may have destructive Finalize, which
   /// the live-state re-emit would corrupt.
   DeltaMode delta_mode(const std::vector<bool>&) const override;

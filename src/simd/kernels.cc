@@ -1,5 +1,7 @@
 #include "simd/kernels.h"
 
+#include <algorithm>
+
 namespace shareinsights {
 namespace simd {
 
@@ -30,6 +32,31 @@ namespace simd {
 
 SI_SIMD_KERNEL_LIST(SI_SIMD_DISPATCH)
 #undef SI_SIMD_DISPATCH
+
+void HashPackedKeysBlock(const uint64_t* words, size_t stride, size_t n,
+                         uint64_t* out) {
+  RecordKernelDispatch();
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t* key = words + i * stride;
+    uint64_t h = 0x243f6a8885a308d3ULL;
+    for (size_t k = 0; k < stride; ++k) {
+      h ^= PackedKeyHashMix(key[k]) + 0x9e3779b9 + (h << 6) + (h >> 2);
+    }
+    out[i] = h;
+  }
+}
+
+void GroupIndexes(const uint32_t* codes, const uint8_t* nulls,
+                  uint32_t null_code, uint32_t* out, size_t n) {
+  RecordKernelDispatch();
+  if (nulls == nullptr) {
+    std::copy_n(codes, n, out);  // no memcpy: codes may be null when n == 0
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = nulls[i] != 0 ? null_code : codes[i];
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Dense group-by accumulation: one shared implementation (see kernels.h

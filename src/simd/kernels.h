@@ -87,19 +87,7 @@ namespace simd {
     (sel, n, base, out))                                                      \
   /* out[i] = PackDoubleBits(v[i]): -0.0 -> +0.0, NaN -> canonical qNaN. */   \
   X(void, PackDoubleBitsBlock, (const double* v, uint64_t* out, size_t n),    \
-    (v, out, n))                                                              \
-  /* out[i] = PackedKeyHash over words[i*stride .. i*stride+stride) —         \
-     bit-identical to the per-row splitmix64/boost-combine in                 \
-     ops/packed_key.h. */                                                     \
-  X(void, HashPackedKeysBlock,                                                \
-    (const uint64_t* words, size_t stride, size_t n, uint64_t* out),          \
-    (words, stride, n, out))                                                  \
-  /* out[i] = nulls[i] ? null_code : codes[i] (group slot per row of the      \
-     dense dict-code group-by). */                                            \
-  X(void, GroupIndexes,                                                       \
-    (const uint32_t* codes, const uint8_t* nulls, uint32_t null_code,         \
-     uint32_t* out, size_t n),                                                \
-    (codes, nulls, null_code, out, n))
+    (v, out, n))
 
 /// Required zero padding past the last valid code of an AndCodeSet table.
 inline constexpr size_t kCodeSetPadding = 3;
@@ -130,6 +118,24 @@ SI_SIMD_KERNEL_LIST(SI_SIMD_DECLARE)
 // Public dispatching entry points (defined in kernels.cc).
 SI_SIMD_KERNEL_LIST(SI_SIMD_DECLARE)
 #undef SI_SIMD_DECLARE
+
+// ---------------------------------------------------------------------------
+// Group-by key kernels: one implementation shared by every ISA. Vector
+// bodies measured no faster than these loops (a gathered 4-lane hash
+// pays more for the 64-bit multiply emulation than its lanes recover),
+// so they are not in SI_SIMD_KERNEL_LIST.
+// ---------------------------------------------------------------------------
+
+/// out[i] = PackedKeyHash over words[i*stride .. i*stride+stride) —
+/// bit-identical to the per-row splitmix64/boost-combine in
+/// ops/packed_key.h.
+void HashPackedKeysBlock(const uint64_t* words, size_t stride, size_t n,
+                         uint64_t* out);
+
+/// out[i] = nulls[i] ? null_code : codes[i] (group slot per row of the
+/// dense dict-code group-by; nulls nullptr = no nulls).
+void GroupIndexes(const uint32_t* codes, const uint8_t* nulls,
+                  uint32_t null_code, uint32_t* out, size_t n);
 
 // ---------------------------------------------------------------------------
 // Dense group-by accumulation.

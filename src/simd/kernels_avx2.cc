@@ -7,9 +7,7 @@
 //  - null rows are blended to the constant null_keep verdict;
 //  - NaN cells fall out of the lt/eq IEEE compares onto the gt verdict
 //    (NaN orders after every number in Value::Compare's total order);
-//  - unsigned u32 compares are emulated by biasing the sign bit;
-//  - the 64-bit multiply of the splitmix64 mix is emulated with
-//    _mm256_mul_epu32 partial products (exact mod 2^64).
+//  - unsigned u32 compares are emulated by biasing the sign bit.
 // Every kernel finishes the sub-lane-width tail with the scalar variant.
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -315,10 +313,6 @@ void CompressMask(const uint8_t* sel, size_t n, size_t base,
   }
 }
 
-namespace {
-
-}  // namespace
-
 void PackDoubleBitsBlock(const double* v, uint64_t* out, size_t n) {
   const __m256d zero_pd = _mm256_setzero_pd();
   double canon = std::numeric_limits<double>::quiet_NaN();
@@ -337,36 +331,6 @@ void PackDoubleBitsBlock(const double* v, uint64_t* out, size_t n) {
                         _mm256_blendv_epi8(bits, canon_v, nan_m));
   }
   scalar::PackDoubleBitsBlock(v + i, out + i, n - i);
-}
-
-void HashPackedKeysBlock(const uint64_t* words, size_t stride, size_t n,
-                         uint64_t* out) {
-  // A 4-lane-per-row vector version (i64gather per key word + splitmix64
-  // via three 32-bit partial products per multiply) benches ~1.4x SLOWER than
-  // the scalar loop on AVX2 hosts: the gather's latency and the 64-bit
-  // multiply emulation cost more than four lanes recover, while scalar
-  // gets contiguous loads and a 1-cycle full imul. The win on this path
-  // comes from batching (PackBlock + one hash pass per block), so the
-  // dispatch keeps the scalar body. bench_simd's paired
-  // simd/hash_packed_keys{,_scalar} entries track this tradeoff.
-  scalar::HashPackedKeysBlock(words, stride, n, out);
-}
-
-void GroupIndexes(const uint32_t* codes, const uint8_t* nulls,
-                  uint32_t null_code, uint32_t* out, size_t n) {
-  if (nulls == nullptr) {
-    std::memcpy(out, codes, n * sizeof(uint32_t));
-    return;
-  }
-  const __m256i null_v = _mm256_set1_epi32(static_cast<int>(null_code));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i));
-    __m256i res = _mm256_blendv_epi8(x, null_v, NullMask8(nulls, i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), res);
-  }
-  scalar::GroupIndexes(codes + i, nulls + i, null_code, out + i, n - i);
 }
 
 }  // namespace avx2

@@ -1,8 +1,8 @@
 // NEON kernel variants (aarch64 only; NEON is baseline there, no runtime
 // probe needed beyond the architecture itself). Compare kernels run 2
 // int64/double lanes or 4 code lanes per op; kernels whose win depends
-// on gathers or byte-mask movemasks (set membership, compress, the
-// packed-key hash) delegate to the scalar reference — aarch64 still gets
+// on gathers or byte-mask movemasks (set membership, compress) delegate
+// to the scalar reference — aarch64 still gets
 // the columnar-pass structure and auto-vectorization, and stays
 // byte-identical by construction.
 
@@ -223,31 +223,6 @@ void PackDoubleBitsBlock(const double* v, uint64_t* out, size_t n) {
     vst1q_u64(out + i, vbslq_u64(not_nan, bits, canon_v));
   }
   scalar::PackDoubleBitsBlock(v + i, out + i, n - i);
-}
-
-void HashPackedKeysBlock(const uint64_t* words, size_t stride, size_t n,
-                         uint64_t* out) {
-  scalar::HashPackedKeysBlock(words, stride, n, out);
-}
-
-void GroupIndexes(const uint32_t* codes, const uint8_t* nulls,
-                  uint32_t null_code, uint32_t* out, size_t n) {
-  if (nulls == nullptr) {
-    std::memcpy(out, codes, n * sizeof(uint32_t));
-    return;
-  }
-  const uint32x4_t null_v = vdupq_n_u32(null_code);
-  const uint32x4_t zero = vdupq_n_u32(0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    uint32_t four;
-    std::memcpy(&four, nulls + i, sizeof(four));
-    uint32x4_t nb =
-        vmovl_u16(vget_low_u16(vmovl_u8(vcreate_u8(four))));
-    uint32x4_t null_m = vcgtq_u32(nb, zero);
-    vst1q_u32(out + i, vbslq_u32(null_m, null_v, vld1q_u32(codes + i)));
-  }
-  scalar::GroupIndexes(codes + i, nulls + i, null_code, out + i, n - i);
 }
 
 }  // namespace neon

@@ -152,29 +152,6 @@ void PackDoubleBitsBlock(const double* v, uint64_t* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] = PackDoubleBits(v[i]);
 }
 
-void HashPackedKeysBlock(const uint64_t* words, size_t stride, size_t n,
-                         uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t* key = words + i * stride;
-    uint64_t h = 0x243f6a8885a308d3ULL;
-    for (size_t k = 0; k < stride; ++k) {
-      h ^= PackedKeyHashMix(key[k]) + 0x9e3779b9 + (h << 6) + (h >> 2);
-    }
-    out[i] = h;
-  }
-}
-
-void GroupIndexes(const uint32_t* codes, const uint8_t* nulls,
-                  uint32_t null_code, uint32_t* out, size_t n) {
-  if (nulls == nullptr) {
-    std::memcpy(out, codes, n * sizeof(uint32_t));
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = nulls[i] != 0 ? null_code : codes[i];
-  }
-}
-
 }  // namespace scalar
 }  // namespace simd
 }  // namespace shareinsights

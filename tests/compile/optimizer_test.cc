@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "compile/compiler.h"
+#include "compile/fingerprint.h"
 #include "exec/executor.h"
 #include "flow/flow_file.h"
 
@@ -48,10 +49,12 @@ ExecutionPlan Compile(bool pushdown, bool projection,
   CompileOptions options;
   options.optimize = true;
   options.filter_pushdown = pushdown;
-  options.endpoint_projection = projection;
-  options.endpoint_columns = std::move(endpoint_columns);
   auto plan = CompileFlowFile(*file, options);
   EXPECT_TRUE(plan.ok()) << plan.status();
+  if (projection) {
+    EXPECT_TRUE(ProjectEndpoints(&*plan, endpoint_columns).ok());
+    ComputePlanFingerprints(&*plan);
+  }
   return *plan;
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "compile/fingerprint.h"
 #include "flow/flow_file.h"
+#include "obs/trace.h"
 
 namespace shareinsights {
 namespace {
@@ -274,6 +276,114 @@ TEST(DashboardTest, IncrementalRunSkipsCleanFlows) {
   stats = dashboard->RunIncremental({"sales"});
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->flows_executed, 1);
+}
+
+// Compilation runs once per Create; endpoint projection rewrites the
+// compiled plan in place and refreshes its fingerprints.
+TEST(DashboardTest, CreateCompilesOnceAndFingerprintsTheProjectedPlan) {
+  auto file = ParseFlowFile(R"(
+D:
+  sales: [region, month, amount]
+D.sales:
+  protocol: inline
+  format: csv
+  data: "region,month,amount
+north,1,100
+south,2,30
+"
+F:
+  D.wide: D.sales | T.double_amount
+D.wide:
+  endpoint: true
+T:
+  double_amount:
+    type: map
+    operator: expression
+    expression: amount * 2
+    output: doubled
+W:
+  chart:
+    type: BarChart
+    source: D.wide
+    x: region
+    y: doubled
+L:
+  rows:
+    - [span12: W.chart]
+)",
+                            "projected");
+  ASSERT_TRUE(file.ok()) << file.status();
+  Tracer tracer;
+  Dashboard::Options options;
+  options.tracer = &tracer;
+  auto dashboard = Dashboard::Create(std::move(*file), options);
+  ASSERT_TRUE(dashboard.ok()) << dashboard.status();
+  int compile_spans = 0;
+  for (const Span& span : tracer.Spans()) {
+    if (span.name == "compile") ++compile_spans;
+  }
+  EXPECT_EQ(compile_spans, 1);
+
+  const ExecutionPlan& plan = (*dashboard)->plan();
+  EXPECT_EQ(plan.optimizer_report.projections_inserted, 1);
+  EXPECT_EQ(plan.schemas.at("wide").names(),
+            (std::vector<std::string>{"region", "doubled"}));
+  for (const CompiledFlow& flow : plan.flows) {
+    EXPECT_NE(flow.fingerprint, 0u);
+    EXPECT_EQ(flow.fingerprint, FlowFingerprint(flow));
+  }
+}
+
+// A widget rooted directly on a shared object records that object's
+// schema and marks it a shared input, with the optimizer on (the default)
+// as well as off.
+TEST(DashboardTest, SharedRootWidgetKeepsItsSchemaAndSharedInput) {
+  struct Catalog : SharedSchemaSource {
+    std::optional<Schema> SharedSchema(const std::string& name) const override {
+      if (name != "league") return std::nullopt;
+      return Schema::FromNames({"team", "points"});
+    }
+  } catalog;
+  for (bool optimize : {true, false}) {
+    auto file = ParseFlowFile(R"(
+D:
+  sales: [region, amount]
+D.sales:
+  protocol: inline
+  format: csv
+  data: "region,amount
+north,1
+"
+F:
+  D.totals: D.sales | T.agg
+D.totals:
+  endpoint: true
+T:
+  agg:
+    type: groupby
+    groupby: [region]
+W:
+  standings:
+    type: DataGrid
+    source: D.league
+L:
+  rows:
+    - [span12: W.standings]
+)",
+                              "shared_root");
+    ASSERT_TRUE(file.ok()) << file.status();
+    Dashboard::Options options;
+    options.shared_schemas = &catalog;
+    options.optimize = optimize;
+    auto dashboard = Dashboard::Create(std::move(*file), options);
+    ASSERT_TRUE(dashboard.ok()) << dashboard.status();
+    const ExecutionPlan& plan = (*dashboard)->plan();
+    ASSERT_EQ(plan.schemas.count("league"), 1u) << "optimize=" << optimize;
+    EXPECT_EQ(plan.schemas.at("league").names(),
+              (std::vector<std::string>{"team", "points"}));
+    EXPECT_EQ(plan.shared_inputs.count("league"), 1u)
+        << "optimize=" << optimize;
+  }
 }
 
 TEST(WidgetRegistryTest, BuiltinsPresentAndCustomRegistrable) {

@@ -211,15 +211,20 @@ class DeltaEquivalenceTest : public ::testing::TestWithParam<int> {
   // reused) and every flow re-run from zero. The empty dirty set keeps
   // the inline source from reloading over the seeded table; missing
   // outputs force every flow to execute.
-  std::map<std::string, std::string> OracleBits(const ExecutionPlan& plan,
-                                                const TablePtr& events) {
+  std::map<std::string, std::string> OracleBits(
+      const ExecutionPlan& plan, const TablePtr& events,
+      const std::string& source = "events",
+      const std::vector<std::string>& objects = kObjects,
+      size_t morsel_rows = 0) {
     DataStore store;
-    store.Put("events", events);
-    Executor executor(ThreadedOptions());
+    store.Put(source, events);
+    ExecuteOptions options = ThreadedOptions();
+    options.morsel_rows = morsel_rows;
+    Executor executor(options);
     auto stats = executor.ExecuteIncremental(plan, &store, {});
     EXPECT_TRUE(stats.ok()) << stats.status();
     std::map<std::string, std::string> bits;
-    for (const std::string& name : kObjects) {
+    for (const std::string& name : objects) {
       auto table = store.Get(name);
       EXPECT_TRUE(table.ok()) << name << ": " << table.status();
       bits[name] = TableBits(**table);
@@ -285,6 +290,93 @@ TEST_P(DeltaEquivalenceTest, AppendsMatchColdRerunOracle) {
   // group-by as an accumulator) — this suite must not silently pass by
   // falling back to full re-runs everywhere.
   EXPECT_GE(deltas_seen, 6 * 4);
+}
+
+// Double sums and averages over values that are not multiples of a power
+// of two, with many morsels per table: double addition is not
+// associative, so the accumulator must merge per-morsel partials at the
+// cold path's morsel boundaries or its low bits drift. The 16-row
+// batches start mid-morsel (1000 % 64 = 40) and cross boundaries.
+TEST_P(DeltaEquivalenceTest, DoubleAggregatesFollowColdMorselBoundaries) {
+  constexpr size_t kMorselRows = 64;
+  Rand rng{2024};
+  auto x = [&rng] {
+    return static_cast<double>(rng.next() % 1000000) / 7.0;
+  };
+  std::string csv = "cat,id,x\n";
+  for (int i = 0; i < 1000; ++i) {
+    uint64_t r = rng.next();
+    csv += "c" + std::to_string(r % 6) + "," + std::to_string(r % 4) + "," +
+           std::to_string(x()) + "\n";
+  }
+  auto file = ParseFlowFile(R"(
+D:
+  facts: [cat, id, x]
+D.facts:
+  protocol: inline
+  format: csv
+  data: ")" + csv + R"("
+F:
+  D.by_cat: D.facts | T.by_cat
+  D.by_pair: D.facts | T.by_pair
+T:
+  by_cat:
+    type: groupby
+    groupby: [cat]
+    aggregates:
+      - operator: sum
+        apply_on: x
+        out_field: total
+      - operator: avg
+        apply_on: x
+        out_field: mean
+  by_pair:
+    type: groupby
+    groupby: [cat, id]
+    aggregates:
+      - operator: sum
+        apply_on: x
+        out_field: total
+      - operator: avg
+        apply_on: x
+        out_field: mean
+)",
+                            "delta_doubles");
+  ASSERT_TRUE(file.ok()) << file.status();
+  auto plan = CompileFlowFile(*file);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  const std::vector<std::string> objects = {"by_cat", "by_pair"};
+
+  ExecuteOptions options = ThreadedOptions();
+  options.morsel_rows = kMorselRows;
+  Executor executor(options);
+  DataStore store;
+  ASSERT_TRUE(executor.Execute(*plan, &store).ok());
+  ASSERT_EQ((*store.Get("facts"))->num_rows(), 1000u);
+
+  IncrementalState state;
+  for (int batch = 0; batch < 6; ++batch) {
+    std::vector<std::vector<Value>> rows;
+    for (int i = 0; i < 16; ++i) {
+      uint64_t r = rng.next();
+      rows.push_back({Value("c" + std::to_string(r % 6)),
+                      Value(static_cast<int64_t>(r % 4)), Value(x())});
+    }
+    auto delta = MakeAppendBatch(**store.Get("facts"), rows);
+    ASSERT_TRUE(delta.ok()) << delta.status();
+    auto outcome =
+        executor.ExecuteAppend(*plan, &store, "facts", *delta, &state);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_EQ(outcome->stats.flows_delta, 2) << "batch " << batch;
+
+    std::map<std::string, std::string> oracle =
+        OracleBits(*plan, ColdEvents(*store.Get("facts")), "facts", objects,
+                   kMorselRows);
+    for (const std::string& name : objects) {
+      EXPECT_EQ(TableBits(**store.Get(name)), oracle[name])
+          << "object " << name << " after batch " << batch;
+    }
+  }
 }
 
 // Typed-batch construction (the satellite fix): batches built against a

@@ -257,24 +257,31 @@ TEST_P(EncodingEquivalenceTest, FilterValues) {
 }
 
 TEST_P(EncodingEquivalenceTest, GroupBy) {
-  auto run = [&](std::vector<std::string> keys) {
-    auto op = GroupByOp::Create(
-        std::move(keys),
-        {AggregateSpec{"sum", "id", "sum_id"},
-         AggregateSpec{"count", "", "n"},
-         AggregateSpec{"avg", "score", "avg_score"},
-         AggregateSpec{"min", "word", "min_word"},
-         AggregateSpec{"max", "score", "max_score"}},
-        false);
+  const std::vector<AggregateSpec> typed = {
+      AggregateSpec{"sum", "id", "sum_id"}, AggregateSpec{"count", "", "n"},
+      AggregateSpec{"avg", "score", "avg_score"},
+      AggregateSpec{"min", "word", "min_word"},
+      AggregateSpec{"max", "score", "max_score"}};
+  // No typed form: a dict key takes the packed-key Aggregator loop.
+  const std::vector<AggregateSpec> untyped = {
+      AggregateSpec{"first", "score", "first_score"},
+      AggregateSpec{"last", "word", "last_word"},
+      AggregateSpec{"count_distinct", "id", "ids"}};
+  auto run = [&](std::vector<std::string> keys,
+                 const std::vector<AggregateSpec>& aggregates) {
+    auto op = GroupByOp::Create(std::move(keys), aggregates, false);
     ASSERT_TRUE(op.ok()) << op.status();
     ExpectEquivalent(**op);
   };
-  run({"cat"});                  // dict key
-  run({"cat", "flag"});          // dict + bool composite
-  run({"id"});                   // int64 key with nulls
-  run({"score"});                // double key: NaN and -0.0 group once
-  run({"mixed"});                // generic fallback on both paths
-  run({"cat", "mixed"});         // packed rejected by the generic column
+  run({"cat"}, typed);              // dict key
+  run({"cat", "flag"}, typed);      // dict + bool composite
+  run({"id"}, typed);               // int64 key with nulls
+  run({"score"}, typed);            // double key: NaN and -0.0 group once
+  run({"mixed"}, typed);            // generic fallback on both paths
+  run({"cat", "mixed"}, typed);     // packed rejected by the generic column
+  run({"cat"}, untyped);
+  run({"cat", "flag"}, untyped);
+  run({"mixed"}, untyped);
 }
 
 TEST_P(EncodingEquivalenceTest, GroupByOrderedByAggregate) {

@@ -408,21 +408,18 @@ TEST(SimdKernelsTest, HashPackedKeysBlockMatchesPerRowHash) {
   }
 }
 
-TEST(SimdKernelsTest, GroupIndexesMatchesScalar) {
+TEST(SimdKernelsTest, GroupIndexesMapsNullsToNullCode) {
   for (size_t n : kSizes) {
     std::vector<uint32_t> codes = CodeData(n, 9, 139);
     std::vector<uint8_t> nulls = NullMap(n, 149);
     for (const uint8_t* nmap : {(const uint8_t*)nullptr, (const uint8_t*)nulls.data()}) {
-      std::vector<uint32_t> want(n, ~0u);
-      simd::scalar::GroupIndexes(codes.data(), nmap, 9, want.data(), n);
+      std::vector<uint32_t> want(n);
       for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(want[i], nmap != nullptr && nmap[i] != 0 ? 9u : codes[i]);
+        want[i] = nmap != nullptr && nmap[i] != 0 ? 9u : codes[i];
       }
-      ForEachIsa([&](const std::string& label) {
-        std::vector<uint32_t> got(n, ~0u);
-        simd::GroupIndexes(codes.data(), nmap, 9, got.data(), n);
-        ASSERT_EQ(want, got) << label << " n=" << n;
-      });
+      std::vector<uint32_t> got(n, ~0u);
+      simd::GroupIndexes(codes.data(), nmap, 9, got.data(), n);
+      ASSERT_EQ(want, got) << "n=" << n;
     }
   }
 }
