@@ -48,7 +48,9 @@ class Dashboard {
     int flow_retry_attempts = 1;
     /// Target rows per operator morsel (0 = kDefaultMorselRows). Smaller
     /// morsels tighten the cooperative-cancellation latency at the cost
-    /// of scheduling overhead; output is byte-identical for any value.
+    /// of scheduling overhead. For a fixed value, output is identical
+    /// across thread counts; double aggregates may differ in their low
+    /// bits across values (see ExecuteOptions::morsel_rows).
     size_t morsel_rows = 0;
     /// Memory cap in bytes for this dashboard's runs and interactive
     /// queries (0 = none; materializations still charge the process

@@ -121,8 +121,10 @@ struct ExecuteOptions {
   /// ops/exec_context.h), so a single wide flow saturates it too.
   size_t num_threads = 0;
   /// Target rows per intra-operator morsel (0 = kDefaultMorselRows).
-  /// Output is byte-identical for any value; this only tunes how row
-  /// loops split across the pool.
+  /// For a fixed value, output is byte-identical across thread counts.
+  /// Across values, double `sum`/`avg` may differ in their low bits:
+  /// group-by merges per-morsel partials, and double addition is not
+  /// associative.
   size_t morsel_rows = 0;
   /// Anchors relative source paths when a source lacks `base_dir`.
   std::string base_dir;

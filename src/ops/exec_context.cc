@@ -119,6 +119,19 @@ Result<TablePtr> GatherRows(const TablePtr& input,
       });
 }
 
+Result<TablePtr> WithColumn(const TablePtr& input, const std::string& name,
+                            ValueType type, std::vector<Value> values) {
+  Schema schema = input->schema();
+  schema.AddField(Field{name, type});
+  const size_t target = *schema.IndexOf(name);
+  std::vector<ColumnData> columns(schema.num_fields());
+  for (size_t c = 0; c < input->num_columns(); ++c) {
+    if (c != target) columns[c] = input->typed_column(c);
+  }
+  columns[target] = ColumnData::Encode(std::move(values));
+  return Table::FromColumnData(std::move(schema), std::move(columns));
+}
+
 std::vector<size_t> ConcatSelections(
     const std::vector<std::vector<size_t>>& selections) {
   size_t total = 0;

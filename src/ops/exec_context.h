@@ -2,6 +2,7 @@
 #define SHAREINSIGHTS_OPS_EXEC_CONTEXT_H_
 
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -111,6 +112,14 @@ Status ForEachMorsel(const ExecContext& ctx, size_t num_rows,
 Result<TablePtr> GatherRows(const TablePtr& input,
                             const std::vector<size_t>& rows,
                             const ExecContext& ctx);
+
+/// Returns `input` with column `name` replaced (when the input has one)
+/// or appended, holding `values` (one per input row) and declared as
+/// `type`. The other columns keep their encoded storage, so dictionaries
+/// stay shared; only `values` is encoded. This is the one output path of
+/// the column-adding operators (the map family and map:expression).
+Result<TablePtr> WithColumn(const TablePtr& input, const std::string& name,
+                            ValueType type, std::vector<Value> values);
 
 /// Concatenates per-morsel row-index selections (in morsel order) into
 /// one flat list. Helper for selection-style operators.

@@ -656,16 +656,14 @@ Result<GroupByBinding> BindGroupBy(const Schema& schema,
 /// The `orderby_aggregates` tail: `result`'s rows stably re-sorted
 /// descending by column `agg_col` (the first aggregate).
 Result<TablePtr> SortByAggregateDescending(const TablePtr& result,
-                                           size_t agg_col) {
+                                           size_t agg_col,
+                                           const ExecContext& ctx) {
   std::vector<size_t> order(result->num_rows());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return result->at(b, agg_col) < result->at(a, agg_col);
   });
-  TableBuilder sorted(result->schema());
-  sorted.Reserve(order.size());
-  for (size_t i : order) sorted.AppendRowFrom(*result, i);
-  return sorted.Finish();
+  return GatherRows(result, order, ctx);
 }
 
 }  // namespace
@@ -781,7 +779,7 @@ Result<TablePtr> GroupByOp::Execute(const std::vector<TablePtr>& inputs,
   }
 
   if (orderby_aggregates_ && !aggregates_.empty()) {
-    return SortByAggregateDescending(result, keys_.size());
+    return SortByAggregateDescending(result, keys_.size(), ctx);
   }
   return result;
 }
@@ -953,7 +951,7 @@ Result<TablePtr> GroupByOp::ExecuteDelta(const std::vector<TablePtr>& inputs,
           }));
 
   if (orderby_aggregates_ && !aggregates_.empty()) {
-    return SortByAggregateDescending(result, keys_.size());
+    return SortByAggregateDescending(result, keys_.size(), ctx);
   }
   return result;
 }

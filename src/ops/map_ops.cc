@@ -1,5 +1,8 @@
 #include "ops/map_ops.h"
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <unordered_set>
 
 #include "common/date_util.h"
@@ -100,49 +103,65 @@ Result<Schema> AppendColumnSchema(const std::vector<Schema>& inputs,
   return out;
 }
 
-// Rebuilds a row-preserving table with one appended/overwritten column.
-Result<TablePtr> AppendColumn(const TablePtr& input,
-                              const std::string& output_column,
-                              ValueType output_type,
-                              std::vector<Value> values) {
-  Schema out_schema = input->schema();
-  out_schema.AddField(Field{output_column, output_type});
-  std::vector<std::vector<Value>> columns;
-  auto existing = input->schema().IndexOf(output_column);
-  for (size_t c = 0; c < input->num_columns(); ++c) {
-    if (existing.has_value() && c == *existing) {
-      columns.push_back(std::move(values));
-    } else {
-      columns.push_back(input->column(c));
-    }
-  }
-  if (!existing.has_value()) columns.push_back(std::move(values));
-  return Table::Create(std::move(out_schema), std::move(columns));
+// Row-preserving map: `fn` computes row `r`'s output cell from its
+// transform cell, and the results replace or append `output_column`.
+Result<TablePtr> MapRows(
+    const TablePtr& input, const std::string& transform_column,
+    const std::string& output_column, const ExecContext& ctx,
+    const std::function<Result<Value>(const Value& cell, size_t r)>& fn) {
+  SI_ASSIGN_OR_RETURN(size_t idx,
+                      input->schema().RequireIndex(transform_column));
+  const ColumnData& cells = input->typed_column(idx);
+  std::vector<Value> out(input->num_rows());
+  SI_RETURN_IF_ERROR(ForEachMorsel(
+      ctx, input->num_rows(),
+      [&](size_t, size_t begin, size_t end) -> Status {
+        for (size_t r = begin; r < end; ++r) {
+          SI_ASSIGN_OR_RETURN(out[r], fn(cells.GetValue(r), r));
+        }
+        return Status::OK();
+      }));
+  return WithColumn(input, output_column, ValueType::kString,
+                    std::move(out));
 }
 
-// Explode: every source row yields len(matches[r]) output rows with the
-// output column set to each match.
-Result<TablePtr> ExplodeColumn(const TablePtr& input,
-                               const std::string& output_column,
-                               const std::vector<std::vector<std::string>>&
-                                   matches) {
-  Schema out_schema = input->schema();
-  out_schema.AddField(Field{output_column, ValueType::kString});
-  TableBuilder builder(out_schema);
-  bool appends = !input->schema().Contains(output_column);
-  auto out_idx = out_schema.IndexOf(output_column);
-  for (size_t r = 0; r < input->num_rows(); ++r) {
-    for (const std::string& match : matches[r]) {
-      std::vector<Value> row = input->Row(r);
-      if (appends) {
-        row.push_back(Value(match));
-      } else {
-        row[*out_idx] = Value(match);
-      }
-      SI_RETURN_IF_ERROR(builder.AppendRow(std::move(row)));
-    }
+// Exploding map: `fn` lists the matches in a non-null transform cell's
+// text. Every input row yields one output row per match, in order (rows
+// without a match drop): the input columns are gathered by row index and
+// the matches become `output_column`.
+Result<TablePtr> ExplodeRows(
+    const TablePtr& input, const std::string& transform_column,
+    const std::string& output_column, const ExecContext& ctx,
+    const std::function<std::vector<std::string>(const std::string& text)>&
+        fn) {
+  SI_ASSIGN_OR_RETURN(size_t idx,
+                      input->schema().RequireIndex(transform_column));
+  const ColumnData& cells = input->typed_column(idx);
+  const size_t morsels = MorselRanges(input->num_rows(), ctx).size();
+  std::vector<std::vector<size_t>> rows(morsels);
+  std::vector<std::vector<Value>> matches(morsels);
+  SI_RETURN_IF_ERROR(ForEachMorsel(
+      ctx, input->num_rows(),
+      [&](size_t m, size_t begin, size_t end) -> Status {
+        for (size_t r = begin; r < end; ++r) {
+          Value cell = cells.GetValue(r);
+          if (cell.is_null()) continue;
+          for (std::string& match : fn(cell.ToString())) {
+            rows[m].push_back(r);
+            matches[m].emplace_back(std::move(match));
+          }
+        }
+        return Status::OK();
+      }));
+  std::vector<size_t> selection = ConcatSelections(rows);
+  std::vector<Value> column;
+  column.reserve(selection.size());
+  for (std::vector<Value>& part : matches) {
+    std::move(part.begin(), part.end(), std::back_inserter(column));
   }
-  return builder.Finish();
+  SI_ASSIGN_OR_RETURN(TablePtr gathered, GatherRows(input, selection, ctx));
+  return WithColumn(gathered, output_column, ValueType::kString,
+                    std::move(column));
 }
 
 const std::unordered_set<std::string>& Stopwords() {
@@ -170,31 +189,18 @@ Result<Schema> MapDateOp::OutputSchema(
 
 Result<TablePtr> MapDateOp::Execute(const std::vector<TablePtr>& inputs,
                                     const ExecContext& ctx) const {
-  const TablePtr& input = inputs[0];
-  SI_ASSIGN_OR_RETURN(size_t idx,
-                      input->schema().RequireIndex(transform_column_));
-  std::vector<Value> out(input->num_rows());
-  SI_RETURN_IF_ERROR(ForEachMorsel(
-      ctx, input->num_rows(),
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          const Value& v = input->at(r, idx);
-          if (v.is_null()) {
-            out[r] = Value::Null();
-            continue;
-          }
-          Result<DateTime> parsed = ParseDateTime(v.ToString(), input_format_);
-          if (!parsed.ok()) {
-            return parsed.status().WithContext("map:date on column '" +
-                                               transform_column_ + "' row " +
-                                               std::to_string(r));
-          }
-          out[r] = Value(FormatDateTime(*parsed, output_format_));
+  return MapRows(
+      inputs[0], transform_column_, output_column_, ctx,
+      [&](const Value& cell, size_t r) -> Result<Value> {
+        if (cell.is_null()) return Value::Null();
+        Result<DateTime> parsed = ParseDateTime(cell.ToString(), input_format_);
+        if (!parsed.ok()) {
+          return parsed.status().WithContext("map:date on column '" +
+                                             transform_column_ + "' row " +
+                                             std::to_string(r));
         }
-        return Status::OK();
-      }));
-  return AppendColumn(input, output_column_, ValueType::kString,
-                      std::move(out));
+        return Value(FormatDateTime(*parsed, output_format_));
+      });
 }
 
 // ---------------------------------------------------------------------
@@ -209,20 +215,10 @@ Result<Schema> MapExtractOp::OutputSchema(
 
 Result<TablePtr> MapExtractOp::Execute(const std::vector<TablePtr>& inputs,
                                        const ExecContext& ctx) const {
-  const TablePtr& input = inputs[0];
-  SI_ASSIGN_OR_RETURN(size_t idx,
-                      input->schema().RequireIndex(transform_column_));
-  std::vector<std::vector<std::string>> matches(input->num_rows());
-  SI_RETURN_IF_ERROR(ForEachMorsel(
-      ctx, input->num_rows(),
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          const Value& v = input->at(r, idx);
-          if (!v.is_null()) matches[r] = dict_.Extract(v.ToString());
-        }
-        return Status::OK();
-      }));
-  return ExplodeColumn(input, output_column_, matches);
+  return ExplodeRows(inputs[0], transform_column_, output_column_, ctx,
+                     [&](const std::string& text) {
+                       return dict_.Extract(text);
+                     });
 }
 
 // ---------------------------------------------------------------------
@@ -237,24 +233,15 @@ Result<Schema> MapExtractLocationOp::OutputSchema(
 
 Result<TablePtr> MapExtractLocationOp::Execute(
     const std::vector<TablePtr>& inputs, const ExecContext& ctx) const {
-  const TablePtr& input = inputs[0];
-  SI_ASSIGN_OR_RETURN(size_t idx,
-                      input->schema().RequireIndex(transform_column_));
-  std::vector<std::vector<std::string>> matches(input->num_rows());
-  SI_RETURN_IF_ERROR(ForEachMorsel(
-      ctx, input->num_rows(),
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          const Value& v = input->at(r, idx);
-          if (v.is_null()) continue;
-          // A location string geocodes to at most one region: first match
-          // wins.
-          std::vector<std::string> found = gazetteer_.Extract(v.ToString());
-          if (!found.empty()) matches[r].push_back(found[0]);
-        }
-        return Status::OK();
-      }));
-  return ExplodeColumn(input, output_column_, matches);
+  return ExplodeRows(inputs[0], transform_column_, output_column_, ctx,
+                     [&](const std::string& text) {
+                       // A location string geocodes to at most one
+                       // region: first match wins.
+                       std::vector<std::string> found =
+                           gazetteer_.Extract(text);
+                       found.resize(std::min<size_t>(found.size(), 1));
+                       return found;
+                     });
 }
 
 // ---------------------------------------------------------------------
@@ -269,25 +256,16 @@ Result<Schema> MapExtractWordsOp::OutputSchema(
 
 Result<TablePtr> MapExtractWordsOp::Execute(
     const std::vector<TablePtr>& inputs, const ExecContext& ctx) const {
-  const TablePtr& input = inputs[0];
-  SI_ASSIGN_OR_RETURN(size_t idx,
-                      input->schema().RequireIndex(transform_column_));
-  std::vector<std::vector<std::string>> matches(input->num_rows());
-  SI_RETURN_IF_ERROR(ForEachMorsel(
-      ctx, input->num_rows(),
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          const Value& v = input->at(r, idx);
-          if (v.is_null()) continue;
-          for (std::string& word : ExtractWords(v.ToString())) {
-            if (word.size() < min_length_) continue;
-            if (Stopwords().count(word) > 0) continue;
-            matches[r].push_back(std::move(word));
-          }
-        }
-        return Status::OK();
-      }));
-  return ExplodeColumn(input, output_column_, matches);
+  return ExplodeRows(inputs[0], transform_column_, output_column_, ctx,
+                     [&](const std::string& text) {
+                       std::vector<std::string> words;
+                       for (std::string& word : ExtractWords(text)) {
+                         if (word.size() < min_length_) continue;
+                         if (Stopwords().count(word) > 0) continue;
+                         words.push_back(std::move(word));
+                       }
+                       return words;
+                     });
 }
 
 // ---------------------------------------------------------------------
@@ -302,25 +280,15 @@ Result<Schema> MapScalarOp::OutputSchema(
 
 Result<TablePtr> MapScalarOp::Execute(const std::vector<TablePtr>& inputs,
                                       const ExecContext& ctx) const {
-  const TablePtr& input = inputs[0];
-  SI_ASSIGN_OR_RETURN(size_t idx,
-                      input->schema().RequireIndex(transform_column_));
-  std::vector<Value> out(input->num_rows());
-  SI_RETURN_IF_ERROR(ForEachMorsel(
-      ctx, input->num_rows(),
-      [&](size_t, size_t begin, size_t end) -> Status {
-        for (size_t r = begin; r < end; ++r) {
-          Result<Value> v = fn_(input->at(r, idx), config_);
-          if (!v.ok()) {
-            return v.status().WithContext(name() + " row " +
-                                          std::to_string(r));
-          }
-          out[r] = std::move(*v);
-        }
-        return Status::OK();
-      }));
-  return AppendColumn(input, output_column_, ValueType::kString,
-                      std::move(out));
+  return MapRows(inputs[0], transform_column_, output_column_, ctx,
+                 [&](const Value& cell, size_t r) -> Result<Value> {
+                   Result<Value> v = fn_(cell, config_);
+                   if (!v.ok()) {
+                     return v.status().WithContext(name() + " row " +
+                                                   std::to_string(r));
+                   }
+                   return v;
+                 });
 }
 
 // ---------------------------------------------------------------------

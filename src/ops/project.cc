@@ -1,4 +1,7 @@
 #include "ops/project.h"
+
+#include <optional>
+
 #include "common/fingerprint.h"
 
 namespace shareinsights {
@@ -25,23 +28,16 @@ Result<Schema> ProjectOp::OutputSchema(
 }
 
 Result<TablePtr> ProjectOp::Execute(const std::vector<TablePtr>& inputs,
-                                    const ExecContext& ctx) const {
+                                    const ExecContext&) const {
   const TablePtr& input = inputs[0];
   SI_ASSIGN_OR_RETURN(Schema out_schema, OutputSchema({input->schema()}));
-  std::vector<size_t> src(mappings_.size());
-  for (size_t m = 0; m < mappings_.size(); ++m) {
-    SI_ASSIGN_OR_RETURN(src[m],
-                        input->schema().RequireIndex(mappings_[m].input));
+  std::vector<ColumnData> columns;
+  columns.reserve(mappings_.size());
+  for (const Mapping& m : mappings_) {
+    SI_ASSIGN_OR_RETURN(size_t idx, input->schema().RequireIndex(m.input));
+    columns.push_back(input->typed_column(idx));
   }
-  // Column copies are independent; spread them over the pool.
-  std::vector<std::vector<Value>> columns(mappings_.size());
-  auto copy_one = [&](size_t m) { columns[m] = input->column(src[m]); };
-  if (ctx.pool != nullptr && mappings_.size() > 1) {
-    ctx.pool->ParallelFor(mappings_.size(), copy_one);
-  } else {
-    for (size_t m = 0; m < mappings_.size(); ++m) copy_one(m);
-  }
-  return Table::Create(std::move(out_schema), std::move(columns));
+  return Table::FromColumnData(std::move(out_schema), std::move(columns));
 }
 
 Result<TableOperatorPtr> ExpressionColumnOp::Create(
@@ -83,24 +79,11 @@ Result<TablePtr> ExpressionColumnOp::Execute(
         }
         return Status::OK();
       }));
-  // Rebuild columns, replacing or appending the output column.
-  std::vector<std::vector<Value>> columns;
-  Schema in_schema = input->schema();
-  std::vector<Field> fields;
-  auto existing = in_schema.IndexOf(output_column_);
-  for (size_t c = 0; c < input->num_columns(); ++c) {
-    fields.push_back(in_schema.field(c));
-    if (existing.has_value() && c == *existing) {
-      columns.push_back(std::move(computed));
-    } else {
-      columns.push_back(input->column(c));
-    }
-  }
-  if (!existing.has_value()) {
-    fields.push_back(Field{output_column_, ValueType::kString});
-    columns.push_back(std::move(computed));
-  }
-  return Table::Create(Schema(std::move(fields)), std::move(columns));
+  // An overwritten column keeps its declared type (see OutputSchema).
+  std::optional<size_t> existing = input->schema().IndexOf(output_column_);
+  ValueType type = existing.has_value() ? input->schema().field(*existing).type
+                                        : ValueType::kString;
+  return WithColumn(input, output_column_, type, std::move(computed));
 }
 
 

@@ -14,6 +14,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "simd/kernels.h"
@@ -256,7 +257,7 @@ void AndCodeSet(const uint32_t* codes, const uint8_t* nulls, bool null_keep,
 void AndConst(const uint8_t* nulls, bool null_keep, bool keep, uint8_t* sel,
               size_t n) {
   if (nulls == nullptr || keep == null_keep) {
-    if (!keep) std::memset(sel, 0, n);
+    if (!keep) std::fill_n(sel, n, uint8_t{0});
     return;
   }
   const __m256i zero = _mm256_setzero_si256();

@@ -10,6 +10,7 @@
 
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -184,7 +185,7 @@ void AndCodeSet(const uint32_t* codes, const uint8_t* nulls, bool null_keep,
 void AndConst(const uint8_t* nulls, bool null_keep, bool keep, uint8_t* sel,
               size_t n) {
   if (nulls == nullptr || keep == null_keep) {
-    if (!keep) std::memset(sel, 0, n);
+    if (!keep) std::fill_n(sel, n, uint8_t{0});
     return;
   }
   const uint8x16_t zero = vdupq_n_u8(0);

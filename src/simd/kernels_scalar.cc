@@ -1,4 +1,4 @@
-#include <cstring>
+#include <algorithm>
 
 #include "simd/kernels.h"
 #include "table/column.h"
@@ -126,7 +126,7 @@ void AndCodeSet(const uint32_t* codes, const uint8_t* nulls, bool null_keep,
 void AndConst(const uint8_t* nulls, bool null_keep, bool keep, uint8_t* sel,
               size_t n) {
   if (nulls == nullptr || keep == null_keep) {
-    if (!keep) std::memset(sel, 0, n);
+    if (!keep) std::fill_n(sel, n, uint8_t{0});
     return;
   }
   for (size_t i = 0; i < n; ++i) {

@@ -25,8 +25,10 @@ namespace shareinsights {
 ///
 /// A column is encoded once at Table build time; operators with typed
 /// kernels (filter compares, group-by / join / distinct hashing, gathers,
-/// cube slices) read the raw arrays directly, everything else goes through
-/// the decoded Value compatibility view cached on the Table.
+/// cube slices) read the raw arrays directly. Project and the map family
+/// keep their input's encoded columns and shared dictionaries, encoding
+/// only the column they add. The remaining Value readers go through the
+/// decoded compatibility view cached on the Table.
 enum class ColumnEncoding { kGeneric, kBool, kInt64, kDouble, kDict };
 
 /// Canonical lowercase name ("generic", "bool", "int64", "double", "dict").

@@ -181,13 +181,6 @@ Status TableBuilder::AppendRow(std::vector<Value> row) {
   return Status::OK();
 }
 
-void TableBuilder::AppendRowFrom(const Table& source, size_t src_row) {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c].push_back(source.at(src_row, c));
-  }
-  ++num_rows_;
-}
-
 Result<TablePtr> TableBuilder::Finish() {
   return Table::Create(std::move(schema_), std::move(columns_));
 }

@@ -24,9 +24,11 @@ using TablePtr = std::shared_ptr<const Table>;
 /// Storage is typed per column (see ColumnData): primitives as raw
 /// arrays, strings dictionary-encoded, mixed-type columns as generic
 /// Value vectors. Hot operator kernels read the typed storage via
-/// typed_column(); the Value-based at()/column() API remains as a
-/// compatibility view, decoded lazily per column and cached (thread-safe,
-/// decoded at most once).
+/// typed_column(); project and the column-adding map operators keep the
+/// input's ColumnData (shared dictionaries) and encode only a new
+/// column. The Value-based at()/column() API remains as a compatibility
+/// view for the operators that still read Values, decoded lazily per
+/// column and cached (thread-safe, decoded at most once).
 class Table {
  public:
   /// Builds a table from columns. Every column must match num_rows.
@@ -125,10 +127,6 @@ class TableBuilder {
 
   /// Appends a row; must have exactly one value per schema field.
   Status AppendRow(std::vector<Value> row);
-
-  /// Appends row `src_row` of `source` (schemas must be compatible by
-  /// position; used by filter/limit-style operators).
-  void AppendRowFrom(const Table& source, size_t src_row);
 
   /// Finishes the table; the builder must not be reused afterwards.
   Result<TablePtr> Finish();

@@ -263,8 +263,8 @@ TEST(TaskFactoryTest, CustomTaskTypeViaRegistry) {
                           const ExecContext&) const override {
                         TableBuilder b(in[0]->schema());
                         for (size_t r = 0; r < in[0]->num_rows(); ++r) {
-                          b.AppendRowFrom(*in[0], r);
-                          b.AppendRowFrom(*in[0], r);
+                          SI_RETURN_IF_ERROR(b.AppendRow(in[0]->Row(r)));
+                          SI_RETURN_IF_ERROR(b.AppendRow(in[0]->Row(r)));
                         }
                         return b.Finish();
                       }

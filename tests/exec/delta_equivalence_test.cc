@@ -77,11 +77,11 @@ struct Rand {
   }
 };
 
-// The flow under test covers every delta family: a filter and a project
-// (pass-through), a group-by fed by the filter (accumulate), an inner
-// join whose build side never changes (pass-through), and a flow
-// downstream of the accumulator's full-changed output (full-re-run
-// fallback).
+// The flow under test covers every delta family: a filter, a project
+// and two maps (pass-through; one explodes rows into words), a group-by
+// fed by the filter (accumulate), an inner join whose build side never
+// changes (pass-through), and a flow downstream of the accumulator's
+// full-changed output (full-re-run fallback).
 std::string FlowText() {
   Rand rng{11};
   std::string csv = "cat,word,id,score\n";
@@ -116,6 +116,8 @@ F:
   D.sums: D.filtered | T.sum_by_cat
   D.joined: (D.events, D.dim) | T.join_dim
   D.big: D.sums | T.big_totals
+  D.words: D.events | T.tokens
+  D.scaled: D.events | T.scale
 D.filtered:
   endpoint: true
 D.joined:
@@ -155,6 +157,16 @@ T:
   big_totals:
     type: filter_by
     filter_expression: 'total > 200'
+  tokens:
+    type: map
+    operator: extract_words
+    transform: word
+    output: token
+  scale:
+    type: map
+    operator: expression
+    expression: 'score * 3 + 1'
+    output: scaled
 )";
 }
 
@@ -166,8 +178,8 @@ ExecutionPlan PlanUnderTest() {
   return *plan;
 }
 
-const std::vector<std::string> kObjects = {"events", "filtered", "named",
-                                           "sums",   "joined",   "big"};
+const std::vector<std::string> kObjects = {
+    "events", "filtered", "named", "sums", "joined", "big", "words", "scaled"};
 
 // One random append batch: known and fresh dictionary strings, nulls in
 // every column, doubles with fractional parts. Odd batches also give
@@ -278,6 +290,8 @@ TEST_P(DeltaEquivalenceTest, AppendsMatchColdRerunOracle) {
     EXPECT_TRUE(outcome->deltas.count("filtered") == 1);
     EXPECT_TRUE(outcome->deltas.count("named") == 1);
     EXPECT_TRUE(outcome->deltas.count("joined") == 1);
+    EXPECT_TRUE(outcome->deltas.count("words") == 1);
+    EXPECT_TRUE(outcome->deltas.count("scaled") == 1);
 
     std::map<std::string, std::string> oracle =
         OracleBits(plan, ColdEvents(*store.Get("events")));
@@ -286,10 +300,11 @@ TEST_P(DeltaEquivalenceTest, AppendsMatchColdRerunOracle) {
           << "object " << name << " after batch " << batch;
     }
   }
-  // The delta path actually ran (filter/project/join as deltas, the
+  // The delta path actually ran (filter/project/join/maps as deltas, the
   // group-by as an accumulator) — this suite must not silently pass by
   // falling back to full re-runs everywhere.
-  EXPECT_GE(deltas_seen, 6 * 4);
+  EXPECT_GE(deltas_seen, 6 * 6);
+  EXPECT_GT((*store.Get("words"))->num_rows(), 0u);
 }
 
 // Double sums and averages over values that are not multiples of a power

@@ -11,17 +11,26 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
+#include "common/date_util.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "cube/data_cube.h"
+#include "expr/expr.h"
 #include "ops/exec_context.h"
 #include "ops/filter.h"
 #include "ops/groupby.h"
 #include "ops/join.h"
+#include "ops/map_ops.h"
+#include "ops/project.h"
 #include "ops/sort_ops.h"
 #include "table/column.h"
 #include "table/table.h"
@@ -142,6 +151,205 @@ TablePtr DimTable(bool force_generic) {
                         {std::move(key), std::move(bonus)}, force_generic);
 }
 
+// Adds the map operators' inputs to the shared dataset: `when`, a
+// timestamp column with nulls, and `text`, free text whose words hit
+// the test dictionaries (including a two-word alias and stopwords).
+TablePtr MapDataset(bool force_generic) {
+  std::vector<std::vector<Value>> columns = DatasetColumns();
+  std::vector<Value> when, text;
+  uint64_t state = 23;
+  auto next = [&state]() {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  const char* kWords[] = {"the", "rohit", "sharma", "kohli", "at", "mumbai",
+                          "pune", "and", "wankhede", "delhi", "great", "x"};
+  for (size_t i = 0; i < kRows; ++i) {
+    uint64_t r = next();
+    char stamp[32];
+    std::snprintf(stamp, sizeof(stamp), "2015-%02d-%02d %02d:%02d:00",
+                  static_cast<int>(r % 12 + 1), static_cast<int>(r % 28 + 1),
+                  static_cast<int>(r % 24), static_cast<int>(r % 60));
+    when.push_back(i % 37 == 0 ? Value::Null() : Value(stamp));
+    std::string line;
+    for (int w = 0, n = static_cast<int>(r % 6); w < n; ++w) {
+      if (w > 0) line += ' ';
+      line += kWords[(r >> (4 * w)) % 12];
+    }
+    text.push_back(i % 41 == 0 ? Value::Null() : Value(line));
+  }
+  columns.push_back(std::move(when));
+  columns.push_back(std::move(text));
+  std::vector<Field> fields = DatasetSchema().fields();
+  fields.push_back(Field{"when", ValueType::kString});
+  fields.push_back(Field{"text", ValueType::kString});
+  return *Table::Create(Schema(std::move(fields)), std::move(columns),
+                        force_generic);
+}
+
+// Reference copies of the map family, map:expression and project as
+// they were implemented before they kept the input's encoded columns:
+// each decodes every input column and re-encodes the whole output
+// through Table::Create (or row by row through TableBuilder), one row at
+// a time on the calling thread. The rewritten operators must match them
+// bit for bit, errors included.
+namespace reference {
+
+Result<TablePtr> AppendColumn(const TablePtr& input,
+                              const std::string& output_column,
+                              ValueType output_type,
+                              std::vector<Value> values) {
+  Schema out_schema = input->schema();
+  out_schema.AddField(Field{output_column, output_type});
+  std::vector<std::vector<Value>> columns;
+  auto existing = input->schema().IndexOf(output_column);
+  for (size_t c = 0; c < input->num_columns(); ++c) {
+    if (existing.has_value() && c == *existing) {
+      columns.push_back(std::move(values));
+    } else {
+      columns.push_back(input->column(c));
+    }
+  }
+  if (!existing.has_value()) columns.push_back(std::move(values));
+  return Table::Create(std::move(out_schema), std::move(columns));
+}
+
+Result<TablePtr> ExplodeColumn(
+    const TablePtr& input, const std::string& output_column,
+    const std::vector<std::vector<std::string>>& matches) {
+  Schema out_schema = input->schema();
+  out_schema.AddField(Field{output_column, ValueType::kString});
+  TableBuilder builder(out_schema);
+  bool appends = !input->schema().Contains(output_column);
+  auto out_idx = out_schema.IndexOf(output_column);
+  for (size_t r = 0; r < input->num_rows(); ++r) {
+    for (const std::string& match : matches[r]) {
+      std::vector<Value> row = input->Row(r);
+      if (appends) {
+        row.push_back(Value(match));
+      } else {
+        row[*out_idx] = Value(match);
+      }
+      SI_RETURN_IF_ERROR(builder.AppendRow(std::move(row)));
+    }
+  }
+  return builder.Finish();
+}
+
+using ExtractFn = std::function<std::vector<std::string>(const std::string&)>;
+
+Result<TablePtr> Explode(const TablePtr& input, const std::string& transform,
+                         const std::string& output, const ExtractFn& fn) {
+  SI_ASSIGN_OR_RETURN(size_t idx, input->schema().RequireIndex(transform));
+  std::vector<std::vector<std::string>> matches(input->num_rows());
+  for (size_t r = 0; r < input->num_rows(); ++r) {
+    const Value& v = input->at(r, idx);
+    if (!v.is_null()) matches[r] = fn(v.ToString());
+  }
+  return ExplodeColumn(input, output, matches);
+}
+
+Result<TablePtr> MapDate(const TablePtr& input, const std::string& transform,
+                         const std::string& input_format,
+                         const std::string& output_format,
+                         const std::string& output) {
+  SI_ASSIGN_OR_RETURN(size_t idx, input->schema().RequireIndex(transform));
+  std::vector<Value> out(input->num_rows());
+  for (size_t r = 0; r < input->num_rows(); ++r) {
+    const Value& v = input->at(r, idx);
+    if (v.is_null()) continue;
+    Result<DateTime> parsed = ParseDateTime(v.ToString(), input_format);
+    if (!parsed.ok()) {
+      return parsed.status().WithContext("map:date on column '" + transform +
+                                         "' row " + std::to_string(r));
+    }
+    out[r] = Value(FormatDateTime(*parsed, output_format));
+  }
+  return AppendColumn(input, output, ValueType::kString, std::move(out));
+}
+
+Result<TablePtr> MapScalar(const TablePtr& input, const std::string& op_name,
+                           const ScalarOpFn& fn, const std::string& transform,
+                           const std::string& output,
+                           const std::map<std::string, std::string>& config) {
+  SI_ASSIGN_OR_RETURN(size_t idx, input->schema().RequireIndex(transform));
+  std::vector<Value> out(input->num_rows());
+  for (size_t r = 0; r < input->num_rows(); ++r) {
+    Result<Value> v = fn(input->at(r, idx), config);
+    if (!v.ok()) {
+      return v.status().WithContext("map:" + op_name + " row " +
+                                    std::to_string(r));
+    }
+    out[r] = std::move(*v);
+  }
+  return AppendColumn(input, output, ValueType::kString, std::move(out));
+}
+
+Result<TablePtr> ExtractWordsOf(const TablePtr& input,
+                                const std::string& transform,
+                                const std::string& output,
+                                size_t min_length) {
+  static const std::unordered_set<std::string> kStopwords = {
+      "the", "and", "for", "are", "but", "not", "you", "all", "can", "had",
+      "her", "was", "one", "our", "out", "day", "get", "has", "him", "his",
+      "how", "now", "see", "two", "who", "with", "this", "that", "from",
+      "they", "will", "have", "what", "when", "your", "just", "about",
+      "there", "their", "them", "then", "than", "were", "been", "being",
+      "http", "https", "www", "com"};
+  return Explode(input, transform, output, [&](const std::string& text) {
+    std::vector<std::string> words;
+    for (std::string& word : ExtractWords(text)) {
+      if (word.size() < min_length || kStopwords.count(word) > 0) continue;
+      words.push_back(std::move(word));
+    }
+    return words;
+  });
+}
+
+Result<TablePtr> Project(const TablePtr& input,
+                         const std::vector<ProjectOp::Mapping>& mappings) {
+  std::vector<Field> fields;
+  std::vector<std::vector<Value>> columns;
+  for (const ProjectOp::Mapping& m : mappings) {
+    SI_ASSIGN_OR_RETURN(size_t idx, input->schema().RequireIndex(m.input));
+    fields.push_back(Field{m.output, input->schema().field(idx).type});
+    columns.push_back(input->column(idx));
+  }
+  return Table::Create(Schema(std::move(fields)), std::move(columns));
+}
+
+Result<TablePtr> ExpressionColumn(const TablePtr& input,
+                                  const std::string& output_column,
+                                  const std::string& expression) {
+  SI_ASSIGN_OR_RETURN(ExprPtr expr, ParseExpression(expression));
+  SI_ASSIGN_OR_RETURN(BoundExpr bound, BoundExpr::Bind(expr, input->schema()));
+  std::vector<Value> computed(input->num_rows());
+  for (size_t r = 0; r < input->num_rows(); ++r) {
+    SI_ASSIGN_OR_RETURN(computed[r], bound.Eval(*input, r));
+  }
+  std::vector<std::vector<Value>> columns;
+  Schema in_schema = input->schema();
+  std::vector<Field> fields;
+  auto existing = in_schema.IndexOf(output_column);
+  for (size_t c = 0; c < input->num_columns(); ++c) {
+    fields.push_back(in_schema.field(c));
+    if (existing.has_value() && c == *existing) {
+      columns.push_back(std::move(computed));
+    } else {
+      columns.push_back(input->column(c));
+    }
+  }
+  if (!existing.has_value()) {
+    fields.push_back(Field{output_column, ValueType::kString});
+    columns.push_back(std::move(computed));
+  }
+  return Table::Create(Schema(std::move(fields)), std::move(columns));
+}
+
+}  // namespace reference
+
+using ReferenceFn = std::function<Result<TablePtr>(const TablePtr&)>;
+
 class EncodingEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, size_t>> {
  protected:
@@ -183,6 +391,29 @@ class EncodingEquivalenceTest
 
   void ExpectEquivalent(const TableOperator& op) {
     ExpectEquivalent(op, {typed_}, {generic_});
+  }
+
+  // Runs `op` over `typed` and over its forced-generic twin, and the
+  // pre-rewrite `reference` over each of the same inputs: every run must
+  // give byte-identical tables, or the same error. Returns the
+  // reference's result on `typed`, so callers can pin the case's premise.
+  Result<TablePtr> ExpectMatchesReference(const TableOperator& op,
+                                          const ReferenceFn& reference,
+                                          const TablePtr& typed,
+                                          const TablePtr& generic) {
+    for (const TablePtr& input : {generic, typed}) {
+      Result<TablePtr> want = reference(input);
+      Result<TablePtr> got = op.Execute({input}, ctx_);
+      EXPECT_EQ(got.ok(), want.ok())
+          << op.name() << ": " << got.status() << " vs " << want.status();
+      if (!want.ok() || !got.ok()) {
+        EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      } else {
+        EXPECT_EQ(TableBits(**got), TableBits(**want)) << op.name();
+      }
+      if (input == typed) return want;
+    }
+    return Status::Internal("unreachable");
   }
 
   TablePtr typed_;
@@ -410,6 +641,151 @@ TEST_P(EncodingEquivalenceTest, GatherRoundTrip) {
   EXPECT_EQ(slice->typed_column(1).encoding(), ColumnEncoding::kDict);
   EXPECT_EQ(slice->typed_column(1).shared_dict().get(),
             typed_->typed_column(1).shared_dict().get());
+}
+
+// The map family against its pre-rewrite reference, over typed and
+// generic storage: new and overwritten output columns, null transform
+// cells, a generic (mixed) transform column, rows and whole morsels
+// without a match, an empty exploded output, and mid-table errors.
+TEST_P(EncodingEquivalenceTest, MapFamily) {
+  const TablePtr typed = MapDataset(false);
+  const TablePtr generic = MapDataset(true);
+  ASSERT_EQ(typed->typed_column(6).encoding(), ColumnEncoding::kDict);
+  const std::string in_fmt = "yyyy-MM-dd HH:mm:ss";
+  auto date = [&](const std::string& transform, const std::string& output) {
+    return ExpectMatchesReference(
+        MapDateOp(transform, in_fmt, "dd/MM/yyyy", output),
+        [&](const TablePtr& in) {
+          return reference::MapDate(in, transform, in_fmt, "dd/MM/yyyy",
+                                    output);
+        },
+        typed, generic);
+  };
+  ASSERT_TRUE(date("when", "day").ok());
+  date("when", "when");  // overwrite the transform column itself
+  date("when", "id");    // overwrite an int64 column with strings
+  EXPECT_FALSE(date("cat", "day").ok());  // the same first failing row
+
+  // Returns the number of rows the extract op's reference produced.
+  auto extract = [&](const std::string& transform, const std::string& dict,
+                     const std::string& output) -> size_t {
+    Dictionary d = *Dictionary::FromText(dict);
+    Result<TablePtr> want = ExpectMatchesReference(
+        MapExtractOp(transform, d, output),
+        [&](const TablePtr& in) {
+          return reference::Explode(
+              in, transform, output,
+              [&](const std::string& text) { return d.Extract(text); });
+        },
+        typed, generic);
+    ExpectMatchesReference(
+        MapExtractLocationOp(transform, d, output),
+        [&](const TablePtr& in) {
+          return reference::Explode(
+              in, transform, output, [&](const std::string& text) {
+                std::vector<std::string> found = d.Extract(text);
+                if (found.size() > 1) found.resize(1);
+                return found;
+              });
+        },
+        typed, generic);
+    return want.ok() ? (*want)->num_rows() : 0;
+  };
+  const std::string players =
+      "Rohit Sharma: rohit sharma, rohit\nVirat Kohli: kohli\n"
+      "Maharashtra: mumbai, pune, wankhede\nDelhi: delhi";
+  EXPECT_GT(extract("text", players, "player"), kRows / 2);
+  extract("text", players, "cat");  // overwrite a dict column
+  EXPECT_GT(extract("cat", "cat3\nEight: cat8", "picked"), 0u);
+  EXPECT_GT(extract("mixed", "m2\nfour: 4", "m"), 0u);  // generic column
+  // Most 64-row morsels match nothing; one row in ~200 does.
+  size_t rare = extract("word", "w7x", "rare");
+  EXPECT_GT(rare, 0u);
+  EXPECT_LT(rare, kRows / 64 / 2);
+  EXPECT_EQ(extract("word", "nothing: zzz", "none"), 0u);  // empty output
+
+  auto words = [&](const std::string& transform, const std::string& output,
+                   size_t min_length) -> size_t {
+    Result<TablePtr> want = ExpectMatchesReference(
+        MapExtractWordsOp(transform, output, min_length),
+        [&](const TablePtr& in) {
+          return reference::ExtractWordsOf(in, transform, output,
+                                           min_length);
+        },
+        typed, generic);
+    return want.ok() ? (*want)->num_rows() : 0;
+  };
+  EXPECT_GT(words("text", "token", 3), kRows);
+  words("text", "text", 5);  // overwrite the transform column
+  EXPECT_GT(words("mixed", "token", 1), 0u);
+  EXPECT_EQ(words("cat", "token", 10), 0u);  // no token is long enough
+
+  ScalarOpFn tag = [](const Value& v,
+                      const std::map<std::string, std::string>& config)
+      -> Result<Value> {
+    if (v.is_null()) return Value("none");
+    if (v.is_int64() && v.int64_value() == 13) {
+      return Status::InvalidArgument("unlucky");
+    }
+    return Value(v.ToString() + config.at("suffix"));
+  };
+  const std::map<std::string, std::string> config = {{"suffix", "!"}};
+  auto scalar = [&](const std::string& transform, const std::string& output) {
+    return ExpectMatchesReference(
+        MapScalarOp("tag", tag, transform, output, config),
+        [&](const TablePtr& in) {
+          return reference::MapScalar(in, "tag", tag, transform, output,
+                                      config);
+        },
+        typed, generic);
+  };
+  ASSERT_TRUE(scalar("mixed", "tagged").ok());
+  scalar("score", "cat");                        // overwrite a dict column
+  EXPECT_FALSE(scalar("id", "tagged").ok());  // fails at the first id 13
+}
+
+TEST_P(EncodingEquivalenceTest, Project) {
+  using M = ProjectOp::Mapping;
+  const std::vector<std::vector<M>> cases = {
+      {M{"mixed", "mixed"}, M{"cat", "cat"}},
+      {M{"score", "s"}, M{"cat", "c"}, M{"cat", "c2"}, M{"id", "id"}},
+      {M{"id", "id"},
+       M{"cat", "cat"},
+       M{"word", "word"},
+       M{"score", "score"},
+       M{"flag", "flag"},
+       M{"mixed", "mixed"}},
+      {M{"missing", "x"}}};
+  for (const std::vector<M>& mappings : cases) {
+    ExpectMatchesReference(
+        ProjectOp(mappings),
+        [&](const TablePtr& in) { return reference::Project(in, mappings); },
+        typed_, generic_);
+  }
+  // The projection shares the input's encoded columns.
+  TablePtr out = *ProjectOp(cases[1]).Execute({typed_}, ctx_);
+  EXPECT_EQ(out->typed_column(1).shared_dict().get(),
+            typed_->typed_column(1).shared_dict().get());
+}
+
+TEST_P(EncodingEquivalenceTest, ExpressionColumn) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"calc", "score * 2 + id"},
+      {"id", "id + 1"},       // overwrite keeps the declared int64 type
+      {"cat", "score > 10"},  // overwrite a dict column with bools
+      {"copy", "mixed"},      // generic source column
+      {"bad", "nope + 1"}};   // unbound column: the same error
+  for (const auto& [output, expression] : cases) {
+    auto op = ExpressionColumnOp::Create(output, expression);
+    ASSERT_TRUE(op.ok()) << op.status();
+    Result<TablePtr> want = ExpectMatchesReference(
+        **op,
+        [&](const TablePtr& in) {
+          return reference::ExpressionColumn(in, output, expression);
+        },
+        typed_, generic_);
+    EXPECT_EQ(want.ok(), output != "bad") << want.status();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
